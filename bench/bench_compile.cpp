@@ -1,8 +1,9 @@
-// BENCH_compile.json: end-to-end compile latency with the solver-core
-// backends swapped — the dense serial pipeline (the historical default)
-// against the sparse revised simplex + deterministic best-first search the
-// resilient portfolio now tries first. Same schema and --check gate as
-// bench_ilp, so CI can hold compile latency to the committed baseline.
+// BENCH_compile.json: end-to-end compile latency with the LP backend
+// swapped — the dense tableau at one search thread (p4allc's default)
+// against the sparse revised simplex at hardware concurrency (the resilient
+// portfolio's first rung), both under the best-first branch-and-bound. Same
+// schema and --check gate as bench_ilp, so CI can hold compile latency to
+// the committed baseline.
 //
 // The `<app>-opt` instances hold the IR optimizer to its overhead budget:
 // dense = the same sparse/best-first compile at -O0, sparse = at -O1
@@ -37,12 +38,11 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
     rep.name = name;
     rep.kind = "compile";
 
-    const auto run = [&](ilp::LpBackend backend, ilp::SearchMode search) {
+    const auto run = [&](ilp::LpBackend backend, int threads) {
         compiler::CompileOptions o;
         o.backend = compiler::Backend::Ilp;
         o.solve.lp_backend = backend;
-        o.solve.search = search;
-        o.solve.threads = 0;
+        o.solve.threads = threads;
         // compile_source seeds branch-and-bound from the greedy layout; the
         // budget bounds instances (netcache) whose honest root gap is not
         // closable at bench scale.
@@ -53,10 +53,8 @@ bench::InstanceReport bench_app(const std::string& name, const std::string& sour
         return std::pair<std::int64_t, std::int64_t>(r.stats.lp_iterations, r.stats.bb_nodes);
     };
 
-    rep.dense = bench::measure(
-        reps, [&] { return run(ilp::LpBackend::Dense, ilp::SearchMode::Dfs); });
-    rep.sparse = bench::measure(
-        reps, [&] { return run(ilp::LpBackend::Sparse, ilp::SearchMode::BestFirst); });
+    rep.dense = bench::measure(reps, [&] { return run(ilp::LpBackend::Dense, 1); });
+    rep.sparse = bench::measure(reps, [&] { return run(ilp::LpBackend::Sparse, 0); });
     return rep;
 }
 
@@ -72,7 +70,6 @@ bench::InstanceReport bench_app_opt_level(const std::string& name, const std::st
         compiler::CompileOptions o;
         o.backend = compiler::Backend::Ilp;
         o.solve.lp_backend = ilp::LpBackend::Sparse;
-        o.solve.search = ilp::SearchMode::BestFirst;
         o.solve.threads = 0;
         o.solve.time_limit_seconds = budget_seconds;
         o.opt_level = opt_level;
@@ -104,10 +101,8 @@ bench::InstanceReport bench_app_recover(const std::string& name, int reps) {
     options.exact_portfolio = false;
     options.auto_reconfigure = false;
 
-    const std::string cold_dir =
-        (std::filesystem::temp_directory_path() / ("p4all_bench_cold_" + name)).string();
-    const std::string warm_dir =
-        (std::filesystem::temp_directory_path() / ("p4all_bench_warm_" + name)).string();
+    const std::string cold_dir = bench::scratch_path("cold_" + name);
+    const std::string warm_dir = bench::scratch_path("warm_" + name);
 
     // One committed journal for every warm rep (recovery is idempotent).
     std::filesystem::remove_all(warm_dir);
@@ -160,10 +155,8 @@ bench::InstanceReport bench_app_failover(const std::string& name, int reps) {
     const std::vector<fleet::SwitchSpec> switches = {{"swA", 0}, {"swB", 0}};
     const std::vector<fleet::TenantSpec> tenants = {{"t0", name}};
 
-    const std::string cold_root =
-        (std::filesystem::temp_directory_path() / ("p4all_bench_fleet_cold_" + name)).string();
-    const std::string warm_root =
-        (std::filesystem::temp_directory_path() / ("p4all_bench_fleet_warm_" + name)).string();
+    const std::string cold_root = bench::scratch_path("fleet_cold_" + name);
+    const std::string warm_root = bench::scratch_path("fleet_warm_" + name);
 
     rep.dense = bench::measure(reps, [&] {
         std::filesystem::remove_all(cold_root);

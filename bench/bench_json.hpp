@@ -34,10 +34,13 @@
 // dense/sparse ratio must stay at or above it or the check fails.
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -244,6 +247,14 @@ inline bool write_report(const support::Json& doc, const std::string& path) {
     }
     out << doc.dump(2) << "\n";
     return static_cast<bool>(out);
+}
+
+/// `name` under the system temp directory, prefixed with this process id so
+/// concurrent bench runs never share journals or trace files.
+inline std::string scratch_path(const std::string& name) {
+    return (std::filesystem::temp_directory_path() /
+            ("p4all_bench_" + std::to_string(::getpid()) + "_" + name))
+        .string();
 }
 
 }  // namespace p4all::bench

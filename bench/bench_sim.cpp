@@ -145,8 +145,7 @@ bench::InstanceReport bench_app_replay(const std::string& name, const std::strin
 
     const workload::Trace trace =
         workload::zipf_trace(static_cast<std::size_t>(packets), 600, 1.2, 0xBE4C);
-    const std::string trace_path =
-        (std::filesystem::temp_directory_path() / ("p4all_bench_" + name + ".trc")).string();
+    const std::string trace_path = bench::scratch_path(name + ".trc");
     workload::save_binary_trace(trace, trace_path);
     rep.vars = static_cast<std::int64_t>(trace.counts.size());
 

@@ -114,7 +114,6 @@ void BM_BestFirstParallelKnapsack(benchmark::State& state) {
     model.set_objective(value);
     SolveOptions o;
     o.lp_backend = LpBackend::Sparse;
-    o.search = SearchMode::BestFirst;
     o.threads = static_cast<int>(state.range(0));
     for (auto _ : state) {
         const Solution s = solve_milp(model, o);

@@ -92,7 +92,7 @@ CompileResult compile(const lang::Program& ast, const CompileOptions& options,
         solve_opts.deadline = solve_opts.deadline.merged(options.deadline);
         ilp::Solution solution;
         if (options.backend == Backend::Exhaustive) {
-            solution = ilp::solve_exhaustive(gen.model, options.exhaustive_max_combinations,
+            solution = ilp::solve_exhaustive(gen.model, kExhaustiveMaxCombinations,
                                              solve_opts.deadline);
         } else {
             if (solve_opts.warm_start.empty()) {

@@ -30,6 +30,10 @@ enum class Backend {
     Exhaustive,  // reference: full integer enumeration (tiny models only)
 };
 
+/// Combination cap for Backend::Exhaustive; larger domains yield a
+/// structured DomainTooLarge failure (the portfolio driver's cue to skip).
+inline constexpr std::int64_t kExhaustiveMaxCombinations = 4096;
+
 struct CompileOptions {
     target::TargetSpec target = target::tofino_like();
     analysis::UnrollOptions unroll;
@@ -40,9 +44,6 @@ struct CompileOptions {
     /// also checked by the greedy backend and codegen, so every phase — not
     /// just the MILP search — honors a caller's budget or cancel request.
     support::Deadline deadline;
-    /// Combination cap for Backend::Exhaustive; larger domains yield a
-    /// structured DomainTooLarge failure (the portfolio driver's cue to skip).
-    std::int64_t exhaustive_max_combinations = 4096;
     /// Post-solve audit of the layout against every constraint; failures
     /// throw (they would indicate a compiler bug, not a user error).
     bool audit = true;

@@ -17,6 +17,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Worker threads for the ilp-sparse rung's best-first search: 0 picks the
+/// hardware concurrency. Any value produces bit-identical layouts.
+constexpr int kSparseThreads = 0;
+/// Cost-perturbation seed for the ilp-bland restart; recorded in the
+/// AttemptReport so the restart replays bit-for-bit.
+constexpr std::uint64_t kRestartPerturbSeed = 0x5EEDBA5EULL;
+
 double since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -122,7 +129,6 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
     CompileOptions common = base;
     common.emit_artifacts = true;
     common.deadline = hard;
-    common.exhaustive_max_combinations = res.exhaustive_max_combinations;
 
     // Did the most recent attempt fail in a way a pivot-path restart could
     // plausibly sidestep?
@@ -136,25 +142,23 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
 
     // 1. Sparse revised simplex + deterministic parallel best-first search:
     // the fast path gets the first (and largest) slice of the budget.
-    if (res.try_ilp_sparse) {
+    if (res.exact) {
         if (overall.cancelled()) {
             skip("ilp-sparse", "cancellation requested before start");
         } else {
             CompileOptions o = common;
             o.backend = Backend::Ilp;
             o.solve.lp_backend = ilp::LpBackend::Sparse;
-            o.solve.search = ilp::SearchMode::BestFirst;
-            o.solve.threads = res.sparse_threads;
+            o.solve.threads = kSparseThreads;
             o.solve.deadline =
                 o.solve.deadline.merged(overall.tightened(0.5 * res.budget_seconds));
             if (!run_attempt("ilp-sparse", o, o.solve.lp.perturb_seed)) note_ilp_failure();
         }
     }
 
-    // 2. Dense-tableau serial engine: same model, the maximally proven
-    // implementation — catches instances where the sparse factorization ran
-    // into numerical trouble.
-    if (!accepted && res.try_ilp) {
+    // 2. The same search over the dense-tableau LP backend: catches
+    // instances where the sparse factorization ran into numerical trouble.
+    if (!accepted && res.exact) {
         if (overall.cancelled()) {
             skip("ilp", "cancellation requested");
         } else if (hard.expired()) {
@@ -174,7 +178,7 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
     // relaxation (no separation rounds, no cut rows in the factorization).
     // Only worth paying for when the first solve hit numerical trouble or
     // shipped a layout the audit refused.
-    if (!accepted && res.try_ilp_restart) {
+    if (!accepted && res.exact) {
         if (overall.cancelled()) {
             skip("ilp-bland", "cancellation requested");
         } else if (!restart_worthwhile) {
@@ -183,10 +187,10 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
             CompileOptions o = common;
             o.backend = Backend::Ilp;
             o.solve.lp.force_bland = true;
-            o.solve.lp.perturb_seed = res.restart_perturb_seed;
+            o.solve.lp.perturb_seed = kRestartPerturbSeed;
             o.solve.cuts_enabled = false;
             o.solve.deadline = hard.tightened(0.3 * res.budget_seconds);
-            (void)run_attempt("ilp-bland", o, res.restart_perturb_seed);
+            (void)run_attempt("ilp-bland", o, kRestartPerturbSeed);
         }
     }
 
@@ -211,7 +215,7 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
     }
 
     // 4. Greedy: cheap, audit-checked, never claims optimality.
-    if (!accepted && res.try_greedy) {
+    if (!accepted) {
         if (overall.cancelled()) {
             skip("greedy", "cancellation requested");
         } else if (hard.expired()) {
@@ -226,7 +230,7 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
 
     // 5. Exhaustive enumeration: tiny models only; the combination cap makes
     // oversized domains a quick structured refusal rather than a blowup.
-    if (!accepted && res.try_exhaustive) {
+    if (!accepted) {
         if (overall.cancelled()) {
             skip("exhaustive", "cancellation requested");
         } else if (hard.expired()) {

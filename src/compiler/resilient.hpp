@@ -5,16 +5,18 @@
 //   1. ilp-sparse   branch-and-bound over the sparse revised simplex with
 //                   the deterministic parallel best-first engine — the fast
 //                   path, first choice; anytime like every ILP rung.
-//   2. ilp          the dense-tableau serial engine. Slower but maximally
-//                   battle-tested; catches the (rare) instance where the
+//   2. ilp          the same search over the dense-tableau LP backend.
+//                   Slower, but catches the (rare) instance where the
 //                   sparse factorization hits numerical trouble.
 //   3. ilp-bland    restart with Bland's rule forced from iteration 0 and a
 //                   perturbed (logged, reproducible) cost tilt; tried only
 //                   after numerical trouble or an audit rejection, where a
 //                   different pivot path may sidestep the breakdown.
-//   4. greedy       heuristic list scheduling — fast, never optimal-claiming.
-//   5. exhaustive   full integer enumeration, tiny models only (guarded by a
-//                   combination cap).
+//   4. ilp-O0       the ILP at -O0 (optimizer off); tried only after an
+//                   audit rejection of an optimized compile.
+//   5. greedy       heuristic list scheduling — fast, never optimal-claiming.
+//   6. exhaustive   full integer enumeration, tiny models only (guarded by
+//                   kExhaustiveMaxCombinations).
 //
 // Every attempt is audited (the compiler's built-in audit_layout plus an
 // optional external gate such as audit::make_resilience_gate()) before
@@ -43,22 +45,9 @@ struct ResilienceOptions {
     /// Cooperative cancellation, observed by every phase of every attempt.
     support::CancelToken cancel;
 
-    bool try_ilp_sparse = true;
-    bool try_ilp = true;
-    bool try_ilp_restart = true;
-    bool try_greedy = true;
-    bool try_exhaustive = true;
-
-    /// Worker threads for the ilp-sparse rung's parallel best-first search
-    /// (0 picks the hardware concurrency). Any value produces bit-identical
-    /// layouts — see SearchMode::BestFirst.
-    int sparse_threads = 0;
-
-    /// Combination cap for the exhaustive backend.
-    std::int64_t exhaustive_max_combinations = 4096;
-    /// Cost-perturbation seed for the ilp-bland restart; recorded in the
-    /// AttemptReport so the restart replays bit-for-bit.
-    std::uint64_t restart_perturb_seed = 0x5EEDBA5EULL;
+    /// Run the exact ILP rungs (ilp-sparse, ilp, ilp-bland). Off leaves the
+    /// portfolio to the heuristic and enumeration rungs (greedy, exhaustive).
+    bool exact = true;
 
     /// Optional external acceptance gate run over each successful attempt's
     /// artifacts (e.g. audit::make_resilience_gate(), which runs the five

@@ -1047,7 +1047,6 @@ const char* to_string(LpBackend backend) noexcept {
     switch (backend) {
         case LpBackend::Sparse: return "sparse";
         case LpBackend::Dense: return "dense";
-        case LpBackend::Textbook: return "textbook";
     }
     return "?";
 }
@@ -1086,7 +1085,6 @@ LpResult solve_lp_with(LpBackend backend, const Model& model, const std::vector<
     switch (backend) {
         case LpBackend::Sparse: return solve_lp_sparse(model, lb, ub, options);
         case LpBackend::Dense: return solve_lp(model, lb, ub, options);
-        case LpBackend::Textbook: return solve_lp_textbook(model, lb, ub, options);
     }
     return solve_lp(model, lb, ub, options);
 }

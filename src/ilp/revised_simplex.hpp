@@ -25,13 +25,14 @@
 
 namespace p4all::ilp {
 
-/// Which LP implementation services a relaxation solve. All three satisfy
-/// the LpResult contract (values, duals, bound, bound_slack), so callers —
-/// branch-and-bound above all — are backend-agnostic.
+/// Which LP implementation services a relaxation solve. Both satisfy the
+/// LpResult contract (values, duals, bound, bound_slack), so callers —
+/// branch-and-bound above all — are backend-agnostic. The textbook reference
+/// (solve_lp_textbook) is a test oracle, not a backend: no production caller
+/// picks it.
 enum class LpBackend {
-    Sparse,    // revised simplex over CSC + eta-file (this header)
-    Dense,     // bounded-variable dense tableau (simplex.cpp)
-    Textbook,  // explicit-row two-phase reference (simplex_textbook.cpp)
+    Sparse,  // revised simplex over CSC + eta-file (this header)
+    Dense,   // bounded-variable dense tableau (simplex.cpp)
 };
 
 [[nodiscard]] const char* to_string(LpBackend backend) noexcept;

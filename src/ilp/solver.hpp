@@ -1,6 +1,16 @@
 // MILP solving: branch-and-bound over the simplex relaxation, plus an
 // exhaustive reference solver used to cross-validate on small models.
 // This stack replaces the Gurobi optimizer used by the paper's prototype.
+//
+// The branch-and-bound engine is a deterministic parallel best-first search.
+// Nodes carry a global best-first order (bound desc, then newest-first so
+// bound plateaus are dived depth-first rather than swept breadth-first); each
+// round the engine pops a fixed-size batch, relaxes the batch's LPs on a
+// work-stealing std::jthread pool, and commits the results serially in batch
+// order (incumbent updates, pruning, branching). Because the batch
+// composition and the commit order depend only on the model — never on
+// thread timing — the search tree, the incumbent, the node count, and the LP
+// iteration total are bit-identical for any thread count, including 1.
 #pragma once
 
 #include <cstdint>
@@ -14,24 +24,6 @@
 #include "support/error.hpp"
 
 namespace p4all::ilp {
-
-/// Which search engine explores the branch-and-bound tree.
-enum class SearchMode {
-    /// Serial depth-first dive (the historical engine): minimal memory,
-    /// reaches incumbents fast on placement models.
-    Dfs,
-    /// Deterministic parallel best-first search. Nodes carry a global
-    /// best-first order (bound desc, then newest-first so bound plateaus
-    /// are dived depth-first rather than swept breadth-first); each round the
-    /// engine pops a fixed-size batch, relaxes the batch's LPs on a
-    /// work-stealing std::jthread pool, and commits the results serially in
-    /// batch order (incumbent updates, pruning, branching). Because the
-    /// batch composition and the commit order depend only on the model —
-    /// never on thread timing — the search tree, the incumbent, the node
-    /// count, and the LP iteration total are bit-identical for any thread
-    /// count, including 1.
-    BestFirst,
-};
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, Limit };
 
@@ -92,11 +84,9 @@ struct SolveOptions {
     /// certificate is routed through the backend-agnostic LpResult contract,
     /// so the audit layer never needs to know which solver ran).
     LpBackend lp_backend = LpBackend::Dense;
-    /// Search engine; Dfs preserves the historical serial behavior.
-    SearchMode search = SearchMode::Dfs;
-    /// Worker threads for SearchMode::BestFirst (ignored by Dfs). 0 picks
-    /// the hardware concurrency. Results are identical for every value —
-    /// threads only split the LP work inside a batch.
+    /// Worker threads for the best-first search. 0 picks the hardware
+    /// concurrency. Results are identical for every value — threads only
+    /// split the LP work inside a batch.
     int threads = 1;
     /// Optional known-feasible assignment (e.g. from a heuristic) used as
     /// the initial incumbent; ignored if it fails the feasibility check.

@@ -63,9 +63,7 @@ compiler::CompileResult compile_epoch(const std::string& source, const std::stri
     compiler::ResilienceOptions res;
     res.budget_seconds = options.recompile_budget_seconds;
     res.external_gate = audit::make_resilience_gate();
-    if (!options.exact_portfolio) {
-        res.try_ilp_sparse = res.try_ilp = res.try_ilp_restart = false;
-    }
+    res.exact = options.exact_portfolio;
     return compiler::compile_resilient_source(source, options.compile, res, name);
 }
 

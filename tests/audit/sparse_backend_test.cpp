@@ -1,9 +1,8 @@
 // Audit regression for the fast solver core: all four benchmark
-// applications compiled with the sparse revised simplex + deterministic
-// parallel best-first search must (a) pass every independent audit pass —
-// including the exact-rational weak-duality certificate check over the
-// root duals the sparse backend's BTRAN produces — and (b) land on the
-// same objective as the dense serial path.
+// applications compiled with the sparse revised simplex must (a) pass every
+// independent audit pass — including the exact-rational weak-duality
+// certificate check over the root duals the sparse backend's BTRAN
+// produces — and (b) land on the same objective as the dense backend.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,13 +34,12 @@ compiler::CompileResult compile_sparse(const BenchApp& app, int threads) {
     compiler::CompileOptions options;
     options.backend = compiler::Backend::Ilp;
     options.solve.lp_backend = ilp::LpBackend::Sparse;
-    options.solve.search = ilp::SearchMode::BestFirst;
     options.solve.threads = threads;
     // netcache's honest root bound sits ~28% above the best known integer
     // solution (the seed's instant "optimal" there was an artifact of a
     // since-fixed dense-tableau bound error), so proving optimality is not a
     // test-sized job. A bounded search still must land on the same incumbent
-    // as the dense serial path — that equality is what this test pins.
+    // as the dense backend — that equality is what this test pins.
     options.solve.time_limit_seconds = 10.0;
     return compiler::compile_source(app.source, options, app.name);
 }
@@ -66,7 +64,7 @@ TEST_P(SparseBackendAudit, AuditAcceptsSparseLayoutsAndObjectivesMatchDense) {
     ASSERT_TRUE(sparse.artifacts->has_ilp) << app.name;
     EXPECT_FALSE(sparse.artifacts->solution.root_duals.empty()) << app.name;
 
-    // Same optimum as the dense serial engine.
+    // Same optimum as the dense backend (p4allc's default).
     compiler::CompileOptions dense_opts;
     dense_opts.backend = compiler::Backend::Ilp;
     const compiler::CompileResult dense =

@@ -12,12 +12,12 @@
 
 #include <csignal>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet.hpp"
 #include "support/faultpoint.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/cluster.hpp"
 #include "workload/trace.hpp"
 
@@ -67,11 +67,8 @@ const std::vector<TenantSpec> kOneTenant = {{"t0", "netcache"}};
 
 class FleetChaosMatrix : public ::testing::TestWithParam<std::string> {
 protected:
-    void TearDown() override {
-        support::FaultRegistry::instance().clear();
-        std::filesystem::remove_all(dir_);
-    }
-    std::string dir_ = ::testing::TempDir() + "p4all_fleet_chaos";
+    void TearDown() override { support::FaultRegistry::instance().clear(); }
+    test::UniqueTempDir dir_;
 };
 
 TEST_P(FleetChaosMatrix, ControllerCrashThenRecoverPreservesTheFleet) {
@@ -79,13 +76,13 @@ TEST_P(FleetChaosMatrix, ControllerCrashThenRecoverPreservesTheFleet) {
     GTEST_SKIP() << "fork-based chaos cells are not TSan-compatible";
 #else
     const std::string point = GetParam();
-    std::filesystem::remove_all(dir_);
-    EXPECT_EXIT(crash_child(dir_, point), ::testing::KilledBySignal(SIGABRT), "action=crash")
+    EXPECT_EXIT(crash_child(dir_.path(), point), ::testing::KilledBySignal(SIGABRT), "action=crash")
         << point;
 
     // Restart the controller against the journals the crash left behind.
     FleetRecoveryReport report;
-    auto fleet = FleetController::recover(chaos_options(dir_), kTwoSwitches, kOneTenant, &report);
+    auto fleet =
+        FleetController::recover(chaos_options(dir_.path()), kTwoSwitches, kOneTenant, &report);
     EXPECT_GT(report.events_replayed, 0u) << point;
     EXPECT_FALSE(fleet->parked("t0")) << point;
     EXPECT_FALSE(fleet->home_of("t0").empty()) << point;
@@ -101,7 +98,7 @@ TEST_P(FleetChaosMatrix, ControllerCrashThenRecoverPreservesTheFleet) {
     // Idempotence: recovering again (no traffic in between) lands on the
     // same placement and the identical register state.
     fleet.reset();
-    auto again = FleetController::recover(chaos_options(dir_), kTwoSwitches, kOneTenant);
+    auto again = FleetController::recover(chaos_options(dir_.path()), kTwoSwitches, kOneTenant);
     EXPECT_EQ(again->home_of("t0"), home) << point;
     EXPECT_EQ(again->digest("t0"), digest) << point;
 #endif
@@ -121,8 +118,8 @@ INSTANTIATE_TEST_SUITE_P(AllFleetPoints, FleetChaosMatrix,
 /// (degraded, never lost — the survivors' SRAM suffices at reduced
 /// profiles), and the rejoin restores every tenant to its full profile.
 TEST(FleetDegradationSoak, LoseOneOfThreeSwitchesThenClimbBack) {
-    const std::string dir = ::testing::TempDir() + "p4all_fleet_soak";
-    std::filesystem::remove_all(dir);
+    const test::UniqueTempDir tmp;
+    const std::string& dir = tmp.path();
 
     const std::vector<SwitchSpec> switches = {{"sw0", 150000}, {"sw1", 150000},
                                               {"sw2", 150000}};
@@ -174,8 +171,6 @@ TEST(FleetDegradationSoak, LoseOneOfThreeSwitchesThenClimbBack) {
         return false;
     }()) << "the ascent must be journaled";
     EXPECT_EQ(fleet.packets_dropped(), 0u) << "no packet loss outside parked tenants";
-
-    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/cluster.hpp"
 #include "workload/trace.hpp"
 
@@ -47,11 +47,8 @@ std::string detail_of(const FleetController& fleet, FleetEventKind kind) {
 
 class FleetTest : public ::testing::Test {
 protected:
-    void TearDown() override {
-        support::FaultRegistry::instance().clear();
-        std::filesystem::remove_all(dir_);
-    }
-    std::string dir_ = ::testing::TempDir() + "p4all_fleet_test";
+    void TearDown() override { support::FaultRegistry::instance().clear(); }
+    test::UniqueTempDir dir_;
 };
 
 TEST_F(FleetTest, RejectsBrokenTopologies) {
@@ -60,16 +57,15 @@ TEST_F(FleetTest, RejectsBrokenTopologies) {
 
     EXPECT_THROW(FleetController(FleetOptions{}, one_switch, one_tenant), Error)
         << "journal_root unset";
-    EXPECT_THROW(FleetController(fast_options(dir_), {}, one_tenant), Error) << "no switches";
-    EXPECT_THROW(FleetController(fast_options(dir_), {{"sw0", 0}, {"sw0", 0}}, one_tenant),
-                 Error)
+    const FleetOptions options = fast_options(dir_.path());
+    EXPECT_THROW(FleetController(options, {}, one_tenant), Error) << "no switches";
+    EXPECT_THROW(FleetController(options, {{"sw0", 0}, {"sw0", 0}}, one_tenant), Error)
         << "duplicate switch";
-    EXPECT_THROW(
-        FleetController(fast_options(dir_), one_switch, {{"t0", "netcache"}, {"t0", "netcache"}}),
-        Error)
+    EXPECT_THROW(FleetController(options, one_switch, {{"t0", "netcache"}, {"t0", "netcache"}}),
+                 Error)
         << "duplicate tenant";
     try {
-        FleetController fleet(fast_options(dir_), one_switch, {{"t0", "no-such-app"}});
+        FleetController fleet(options, one_switch, {{"t0", "no-such-app"}});
         FAIL() << "unknown app accepted";
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), Errc::FleetConfig);
@@ -78,7 +74,7 @@ TEST_F(FleetTest, RejectsBrokenTopologies) {
 }
 
 TEST_F(FleetTest, AdmitsEveryTenantAndRoutesPackets) {
-    FleetController fleet(fast_options(dir_), {{"sw0", 0}, {"sw1", 0}},
+    FleetController fleet(fast_options(dir_.path()), {{"sw0", 0}, {"sw1", 0}},
                           {{"t0", "netcache"}, {"t1", "precision"}});
     EXPECT_FALSE(fleet.parked("t0"));
     EXPECT_FALSE(fleet.parked("t1"));
@@ -95,7 +91,7 @@ TEST_F(FleetTest, AdmitsEveryTenantAndRoutesPackets) {
 }
 
 TEST_F(FleetTest, StepThrowsOnUnknownTenant) {
-    FleetController fleet(fast_options(dir_), {{"sw0", 0}}, {{"t0", "netcache"}});
+    FleetController fleet(fast_options(dir_.path()), {{"sw0", 0}}, {{"t0", "netcache"}});
     try {
         fleet.step("nobody", 1);
         FAIL();
@@ -105,7 +101,8 @@ TEST_F(FleetTest, StepThrowsOnUnknownTenant) {
 }
 
 TEST_F(FleetTest, FailoverReplaysTheTenantJournalOnTheNewHome) {
-    FleetController fleet(fast_options(dir_), {{"sw0", 0}, {"sw1", 0}}, {{"t0", "netcache"}});
+    FleetController fleet(fast_options(dir_.path()), {{"sw0", 0}, {"sw1", 0}},
+                          {{"t0", "netcache"}});
     const workload::Trace trace = workload::zipf_trace(512, 128, 1.1, 7);
     for (const std::uint64_t key : trace.keys) fleet.step("t0", key);
     // Checkpoint: commit an epoch so the journal pins the live state.
@@ -128,7 +125,7 @@ TEST_F(FleetTest, FailoverReplaysTheTenantJournalOnTheNewHome) {
 }
 
 TEST_F(FleetTest, HeartbeatMissesDeclareASwitchDead) {
-    FleetOptions options = fast_options(dir_);
+    FleetOptions options = fast_options(dir_.path());
     options.health.miss_threshold = 3;
     FleetController fleet(options, {{"sw0", 0}}, {{"t0", "netcache"}});
 
@@ -156,7 +153,7 @@ TEST_F(FleetTest, HeartbeatMissesDeclareASwitchDead) {
 }
 
 TEST_F(FleetTest, BreakerRefusesInstallsAfterRepeatedSwapFailures) {
-    FleetOptions options = fast_options(dir_);
+    FleetOptions options = fast_options(dir_.path());
     options.breaker.failure_threshold = 1;
     options.breaker.open_ticks = 1;
     options.backoff.max_attempts = 2;  // keep the doomed retries cheap
@@ -188,7 +185,7 @@ TEST_F(FleetTest, BreakerRefusesInstallsAfterRepeatedSwapFailures) {
 TEST_F(FleetTest, CapacityCrunchDegradesResidentsBeforeShedding) {
     // netcache at full profile does not leave room for precision; one
     // ladder rung does.
-    FleetController fleet(fast_options(dir_), {{"sw0", 140000}},
+    FleetController fleet(fast_options(dir_.path()), {{"sw0", 140000}},
                           {{"t0", "netcache"}, {"t1", "precision"}});
     EXPECT_FALSE(fleet.parked("t0"));
     EXPECT_FALSE(fleet.parked("t1"));
@@ -199,7 +196,7 @@ TEST_F(FleetTest, CapacityCrunchDegradesResidentsBeforeShedding) {
 
 TEST_F(FleetTest, ShedIsTheLastRungAndIsTyped) {
     // Capacity fits a floor-level netcache and nothing else.
-    FleetController fleet(fast_options(dir_), {{"sw0", 62000}},
+    FleetController fleet(fast_options(dir_.path()), {{"sw0", 62000}},
                           {{"t0", "netcache"}, {"t1", "precision"}});
     EXPECT_FALSE(fleet.parked("t0"));
     EXPECT_GE(fleet.level_of("t0"), 2);
@@ -209,7 +206,7 @@ TEST_F(FleetTest, ShedIsTheLastRungAndIsTyped) {
 }
 
 TEST_F(FleetTest, RouteFaultsRetryThenDrop) {
-    FleetController fleet(fast_options(dir_), {{"sw0", 0}}, {{"t0", "netcache"}});
+    FleetController fleet(fast_options(dir_.path()), {{"sw0", 0}}, {{"t0", "netcache"}});
     support::FaultRegistry::instance().configure("fleet.route:prob=1:seed=5");
     fleet.step("t0", 1);
     EXPECT_EQ(fleet.packets_dropped(), 1u);
@@ -248,12 +245,10 @@ std::pair<std::vector<std::string>, std::uint64_t> run_scenario(int threads,
 TEST_F(FleetTest, EventSequenceAndDigestAreThreadCountInvariant) {
     // The acceptance bar: a fixed seed yields one trajectory whether the
     // ILP solver runs on 1 worker or 8.
-    const auto single = run_scenario(1, dir_ + "_1t");
-    const auto eight = run_scenario(8, dir_ + "_8t");
+    const auto single = run_scenario(1, dir_.file("1t"));
+    const auto eight = run_scenario(8, dir_.file("8t"));
     EXPECT_EQ(single.first, eight.first);
     EXPECT_EQ(single.second, eight.second);
-    std::filesystem::remove_all(dir_ + "_1t");
-    std::filesystem::remove_all(dir_ + "_8t");
 }
 
 }  // namespace

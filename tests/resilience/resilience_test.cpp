@@ -125,7 +125,6 @@ ilp::Model branching_model() {
 ilp::SolveOptions parallel_options(int threads) {
     ilp::SolveOptions o;
     o.lp_backend = ilp::LpBackend::Sparse;
-    o.search = ilp::SearchMode::BestFirst;
     o.threads = threads;
     return o;
 }

@@ -9,13 +9,13 @@
 // journal must land on the exact committed epoch.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "runtime/drivers.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/snapshot.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/adversarial.hpp"
 #include "workload/trace.hpp"
 
@@ -24,20 +24,18 @@ namespace {
 
 class AdversarialSoak : public ::testing::TestWithParam<std::string> {
 protected:
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-    std::string dir_ = ::testing::TempDir() + "p4all_adversarial";
+    test::UniqueTempDir dir_;
 };
 
 TEST_P(AdversarialSoak, ThreeLiveSwapsUnderHostileTrafficNeverCorruptState) {
     const std::string app = GetParam();
-    std::filesystem::remove_all(dir_);
 
     RuntimeOptions options;
     options.compile.backend = compiler::Backend::Greedy;
     options.exact_portfolio = false;
     options.auto_reconfigure = false;
     options.drift.window = 256;
-    options.journal_dir = dir_;
+    options.journal_dir = dir_.path();
 
     AppDriver driver = make_driver(app);
     ElasticRuntime rt(driver.name, driver.source, options, driver.profile);
@@ -68,7 +66,7 @@ TEST_P(AdversarialSoak, ThreeLiveSwapsUnderHostileTrafficNeverCorruptState) {
     EXPECT_EQ(rt.epoch(), rt.swaps_committed()) << app;
 
     // Corruption check 1: the serving state round-trips bit-identically.
-    const std::string snap_path = dir_ + "/soak_final.json";
+    const std::string snap_path = dir_.file("soak_final.json");
     const Snapshot live = take_snapshot(rt.pipeline(), rt.epoch());
     save_snapshot(live, snap_path);
     EXPECT_TRUE(load_snapshot(snap_path).state_identical(live)) << app;
@@ -83,7 +81,7 @@ TEST_P(AdversarialSoak, ThreeLiveSwapsUnderHostileTrafficNeverCorruptState) {
     EXPECT_EQ(report.outcome, RecoveryReport::Outcome::Committed) << report.to_string();
     EXPECT_EQ(recovered->epoch(), committed_epoch) << app;
     const Snapshot journaled =
-        load_snapshot(dir_ + "/epoch_" + std::to_string(committed_epoch) + ".json");
+        load_snapshot(dir_.file("epoch_" + std::to_string(committed_epoch) + ".json"));
     EXPECT_TRUE(
         journaled.state_identical(take_snapshot(recovered->pipeline(), committed_epoch)))
         << app;

@@ -29,6 +29,7 @@
 #include "runtime/runtime.hpp"
 #include "runtime/snapshot.hpp"
 #include "support/faultpoint.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -83,11 +84,8 @@ constexpr ChaosCell kMatrix[] = {
 
 class ChaosMatrix : public ::testing::TestWithParam<std::string> {
 protected:
-    void TearDown() override {
-        support::FaultRegistry::instance().clear();
-        std::filesystem::remove_all(dir_);
-    }
-    std::string dir_ = ::testing::TempDir() + "p4all_chaos";
+    void TearDown() override { support::FaultRegistry::instance().clear(); }
+    test::UniqueTempDir dir_;
 };
 
 TEST_P(ChaosMatrix, KillAtEveryJournalPointThenRecover) {
@@ -96,16 +94,16 @@ TEST_P(ChaosMatrix, KillAtEveryJournalPointThenRecover) {
 #else
     const std::string app = GetParam();
     for (const ChaosCell& cell : kMatrix) {
-        std::filesystem::remove_all(dir_);
+        std::filesystem::remove_all(dir_.path());
         // Kill: the child aborts at the armed point; its journal survives.
-        EXPECT_EXIT(crash_child(app, dir_, cell.point),
+        EXPECT_EXIT(crash_child(app, dir_.path(), cell.point),
                     ::testing::KilledBySignal(SIGABRT), "action=crash")
             << app << " @ " << cell.point;
 
         // Restart: recovery classifies the tail per the decision table.
         AppDriver driver = make_driver(app);
         RecoveryReport rep;
-        auto rt = ElasticRuntime::recover(driver.name, driver.source, chaos_options(dir_),
+        auto rt = ElasticRuntime::recover(driver.name, driver.source, chaos_options(dir_.path()),
                                           driver.profile, &rep);
         EXPECT_EQ(rep.outcome, cell.outcome) << app << " @ " << cell.point << "\n"
                                              << rep.to_string();
@@ -115,7 +113,7 @@ TEST_P(ChaosMatrix, KillAtEveryJournalPointThenRecover) {
         // Verify: the serving state is bit-identical to the journaled
         // epoch snapshot, and the pipeline still serves packets.
         const Snapshot on_disk =
-            load_snapshot(dir_ + "/epoch_" + std::to_string(cell.epoch) + ".json");
+            load_snapshot(dir_.file("epoch_" + std::to_string(cell.epoch) + ".json"));
         EXPECT_TRUE(on_disk.state_identical(take_snapshot(rt->pipeline(), cell.epoch)))
             << app << " @ " << cell.point;
         EXPECT_NO_THROW(rt->pipeline().process(
@@ -125,7 +123,7 @@ TEST_P(ChaosMatrix, KillAtEveryJournalPointThenRecover) {
         // plain committed restore.
         rt.reset();
         RecoveryReport again;
-        auto rt2 = ElasticRuntime::recover(driver.name, driver.source, chaos_options(dir_),
+        auto rt2 = ElasticRuntime::recover(driver.name, driver.source, chaos_options(dir_.path()),
                                            driver.profile, &again);
         EXPECT_EQ(again.outcome, RecoveryReport::Outcome::Committed)
             << app << " @ " << cell.point << "\n"
@@ -145,8 +143,8 @@ TEST(ChaosCycle, SurvivesRepeatedCrashRestartCycles) {
 #if defined(P4ALL_CHAOS_TSAN)
     GTEST_SKIP() << "fork-based chaos cells are not TSan-compatible";
 #else
-    const std::string dir = ::testing::TempDir() + "p4all_chaos_cycle";
-    std::filesystem::remove_all(dir);
+    const test::UniqueTempDir tmp;
+    const std::string& dir = tmp.path();
 
     // Cycle 1: die at the commit record of the first swap.
     EXPECT_EXIT(crash_child("netcache", dir, "runtime.journal.commit"),
@@ -171,7 +169,6 @@ TEST(ChaosCycle, SurvivesRepeatedCrashRestartCycles) {
                                        driver.profile, &rep2);
     EXPECT_EQ(rep2.outcome, RecoveryReport::Outcome::Committed) << rep2.to_string();
     EXPECT_EQ(rt2->epoch(), 2u);
-    std::filesystem::remove_all(dir);
 #endif
 }
 

@@ -16,6 +16,7 @@
 #include "runtime/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 
 namespace p4all::runtime {
@@ -60,9 +61,8 @@ void drop_tail_records(const std::string& path, std::size_t drop) {
 
 class JournalFormat : public ::testing::Test {
 protected:
-    void SetUp() override { std::filesystem::remove(path_); }
-    void TearDown() override { std::filesystem::remove(path_); }
-    std::string path_ = ::testing::TempDir() + "p4all_journal_fmt.bin";
+    test::UniqueTempDir dir_;
+    std::string path_ = dir_.file("journal.bin");
 };
 
 TEST_F(JournalFormat, RecordsRoundTripThroughTheFile) {
@@ -269,17 +269,13 @@ struct FaultGuard {
 
 class JournaledRuntime : public ::testing::Test {
 protected:
-    void SetUp() override { std::filesystem::remove_all(dir_); }
-    void TearDown() override {
-        support::FaultRegistry::instance().clear();
-        std::filesystem::remove_all(dir_);
-    }
+    void TearDown() override { support::FaultRegistry::instance().clear(); }
 
     RuntimeOptions options() const {
         RuntimeOptions o;
         o.compile.backend = compiler::Backend::Greedy;
         o.auto_reconfigure = false;
-        o.journal_dir = dir_;
+        o.journal_dir = dir_.path();
         return o;
     }
 
@@ -306,13 +302,13 @@ protected:
         for (const std::uint64_t key : trace.keys) rt.pipeline().process({key});
     }
 
-    std::string journal_path() const { return dir_ + "/journal.bin"; }
+    std::string journal_path() const { return dir_.file("journal.bin"); }
     std::string epoch_path(std::uint64_t e) const {
-        return dir_ + "/epoch_" + std::to_string(e) + ".json";
+        return dir_.file("epoch_" + std::to_string(e) + ".json");
     }
 
     std::shared_ptr<std::int64_t> cols_ = std::make_shared<std::int64_t>(256);
-    std::string dir_ = ::testing::TempDir() + "p4all_journal_rt";
+    test::UniqueTempDir dir_;
 };
 
 TEST_F(JournaledRuntime, CommittedSwapWritesTheFullRecordSequence) {
@@ -364,7 +360,7 @@ TEST_F(JournaledRuntime, RejectedSwapResolvesItsIntentWithAnAbort) {
 TEST_F(JournaledRuntime, EveryJournalFaultPointRejectsWithoutStatePerturbation) {
     for (const char* point : {"runtime.journal.intent", "runtime.journal.migrate",
                               "runtime.journal.snapshot", "runtime.journal.commit"}) {
-        std::filesystem::remove_all(dir_);
+        std::filesystem::remove_all(dir_.path());
         *cols_ = 256;
         auto rt = make_runtime();
         feed(*rt, 79);
@@ -496,7 +492,6 @@ TEST_F(JournaledRuntime, RecoverRejectsATamperedSnapshotViaTheJournalChecksum) {
 }
 
 TEST_F(JournaledRuntime, RecoverSurvivesAGarbageJournalAndStartsFresh) {
-    std::filesystem::create_directories(dir_);
     write_file(journal_path(), "this was never a journal");
     RecoveryReport rep;
     auto rt = recover_runtime(rep);

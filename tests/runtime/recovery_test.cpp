@@ -8,6 +8,7 @@
 
 #include "runtime/drivers.hpp"
 #include "runtime/runtime.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 
 namespace p4all::runtime {
@@ -26,18 +27,16 @@ RuntimeOptions journaled_options(const std::string& dir) {
 class MissingSnapshotTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        std::filesystem::remove_all(dir_);
         // Commit epoch 1 so the journal records two durable epochs.
         AppDriver driver = make_driver("netcache");
-        ElasticRuntime rt(driver.name, driver.source, journaled_options(dir_), driver.profile);
+        ElasticRuntime rt(driver.name, driver.source, journaled_options(dir_.path()),
+                          driver.profile);
         const workload::Trace trace = workload::zipf_trace(512, 128, 1.1, 17);
         for (const std::uint64_t key : trace.keys) driver.step(rt, key);
         require_committed(rt.reconfigure("test"));
         ASSERT_EQ(rt.epoch(), 1u);
     }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    std::string dir_ = ::testing::TempDir() + "p4all_missing_snap";
+    test::UniqueTempDir dir_;
 };
 
 bool any_note_mentions(const RecoveryReport& rep, const std::string& needle) {
@@ -48,11 +47,11 @@ bool any_note_mentions(const RecoveryReport& rep, const std::string& needle) {
 }
 
 TEST_F(MissingSnapshotTest, DegradesPastTheEpochWithATypedNote) {
-    ASSERT_TRUE(std::filesystem::remove(dir_ + "/epoch_1.json"));
+    ASSERT_TRUE(std::filesystem::remove(dir_.file("epoch_1.json")));
 
     AppDriver driver = make_driver("netcache");
     RecoveryReport rep;
-    auto rt = ElasticRuntime::recover(driver.name, driver.source, journaled_options(dir_),
+    auto rt = ElasticRuntime::recover(driver.name, driver.source, journaled_options(dir_.path()),
                                       driver.profile, &rep);
     EXPECT_EQ(rep.outcome, RecoveryReport::Outcome::Degraded) << rep.to_string();
     EXPECT_EQ(rt->epoch(), 0u);
@@ -61,12 +60,12 @@ TEST_F(MissingSnapshotTest, DegradesPastTheEpochWithATypedNote) {
 }
 
 TEST_F(MissingSnapshotTest, AllSnapshotsGoneFallsToAFreshEpochZero) {
-    ASSERT_TRUE(std::filesystem::remove(dir_ + "/epoch_0.json"));
-    ASSERT_TRUE(std::filesystem::remove(dir_ + "/epoch_1.json"));
+    ASSERT_TRUE(std::filesystem::remove(dir_.file("epoch_0.json")));
+    ASSERT_TRUE(std::filesystem::remove(dir_.file("epoch_1.json")));
 
     AppDriver driver = make_driver("netcache");
     RecoveryReport rep;
-    auto rt = ElasticRuntime::recover(driver.name, driver.source, journaled_options(dir_),
+    auto rt = ElasticRuntime::recover(driver.name, driver.source, journaled_options(dir_.path()),
                                       driver.profile, &rep);
     EXPECT_EQ(rt->epoch(), 0u);
     EXPECT_TRUE(any_note_mentions(rep, "P4ALL-0408")) << rep.to_string();

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +16,7 @@
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
 #include "support/hash.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 
 namespace p4all::runtime {
@@ -203,8 +203,8 @@ TEST(ElasticRuntime, SwapAndMigrateFaultsRollBackBitIdentically) {
 }
 
 TEST(ElasticRuntime, SnapshotGateAbortsSwapAndSaveRestoreRoundTrips) {
-    const std::string path = ::testing::TempDir() + "runtime_epoch.json";
-    std::remove(path.c_str());
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("runtime_epoch.json");
 
     RuntimeOptions options;
     options.snapshot_path = path;
@@ -239,7 +239,6 @@ TEST(ElasticRuntime, SnapshotGateAbortsSwapAndSaveRestoreRoundTrips) {
     }
     h.rt->restore();
     EXPECT_TRUE(load_snapshot(path).state_identical(take_snapshot(h.rt->pipeline())));
-    std::remove(path.c_str());
 }
 
 TEST(ElasticRuntime, DriftLoopReconfiguresUnderDriftingWorkload) {

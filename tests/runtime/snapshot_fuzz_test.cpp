@@ -5,13 +5,13 @@
 // type, and never silently perturbed state.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "runtime/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "unique_temp_dir.hpp"
 
 namespace p4all::runtime {
 namespace {
@@ -151,7 +151,8 @@ TEST(SnapshotFuzz, FlippedDataCellFailsTheChecksum) {
 }
 
 TEST(SnapshotFuzz, OnDiskCorruptionSurfacesThroughLoadSnapshot) {
-    const std::string path = ::testing::TempDir() + "p4all_snapshot_fuzz.json";
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("snapshot_fuzz.json");
     const Snapshot snap = make_snapshot();
     save_snapshot(snap, path);
     EXPECT_TRUE(load_snapshot(path).state_identical(snap));
@@ -165,7 +166,6 @@ TEST(SnapshotFuzz, OnDiskCorruptionSurfacesThroughLoadSnapshot) {
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), Errc::SnapshotError);
     }
-    std::remove(path.c_str());
 }
 
 }  // namespace

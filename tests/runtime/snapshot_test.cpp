@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -13,6 +12,7 @@
 #include "sim/pipeline.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 
 namespace p4all::runtime {
@@ -52,8 +52,6 @@ struct FaultGuard {
     }
     ~FaultGuard() { support::FaultRegistry::instance().clear(); }
 };
-
-std::string temp_path(const char* name) { return ::testing::TempDir() + name; }
 
 TEST(Snapshot, SerializeParseRoundTripsBitIdentically) {
     const auto r = compile_netcache(256, 64);
@@ -110,8 +108,8 @@ TEST(Snapshot, SaveIsCrashSafeUnderInjectedFailure) {
     const auto r = compile_netcache(256, 64);
     sim::Pipeline pipe(r.program, r.layout);
     feed(pipe, 6);
-    const std::string path = temp_path("snap_crash_safe.json");
-    std::remove(path.c_str());
+    const test::UniqueTempDir tmp_dir;
+    const std::string path = tmp_dir.file("snap_crash_safe.json");
 
     const Snapshot v1 = take_snapshot(pipe, 1);
     save_snapshot(v1, path);
@@ -129,14 +127,14 @@ TEST(Snapshot, SaveIsCrashSafeUnderInjectedFailure) {
     EXPECT_FALSE(on_disk.state_identical(v2));
     std::ifstream tmp(path + ".tmp");
     EXPECT_FALSE(tmp.good()) << "temp file leaked";
-    std::remove(path.c_str());
 }
 
 TEST(Snapshot, RestoreFaultFailsCleanly) {
     const auto r = compile_netcache(256, 64);
     sim::Pipeline pipe(r.program, r.layout);
     feed(pipe, 8);
-    const std::string path = temp_path("snap_restore_fault.json");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("snap_restore_fault.json");
     save_snapshot(take_snapshot(pipe), path);
 
     {
@@ -145,7 +143,6 @@ TEST(Snapshot, RestoreFaultFailsCleanly) {
     }
     // The file itself is fine once the fault is disarmed.
     EXPECT_TRUE(load_snapshot(path).state_identical(take_snapshot(pipe)));
-    std::remove(path.c_str());
 
     EXPECT_EQ(code_of([] { (void)load_snapshot("/nonexistent/p4all/snap.json"); }),
               support::Errc::SnapshotError);

@@ -4,12 +4,12 @@
 // prefix; any corruption must surface as the typed P4ALL-0409 error.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "support/error.hpp"
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
 
@@ -18,8 +18,6 @@ namespace {
 
 using support::Errc;
 using support::Error;
-
-std::string temp_path(const char* name) { return ::testing::TempDir() + name; }
 
 std::string read_bytes(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -32,7 +30,8 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 }
 
 TEST(TraceBinary, SealedRoundTripPreservesKeysAndCounts) {
-    const std::string path = temp_path("p4all_trace_bin.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("bin.trc");
     const Trace trace = zipf_trace(4096, 300, 1.1, 7);
     save_binary_trace(trace, path);
 
@@ -43,12 +42,12 @@ TEST(TraceBinary, SealedRoundTripPreservesKeysAndCounts) {
     TraceReader reader(path);
     EXPECT_TRUE(reader.sealed());
     EXPECT_EQ(reader.count(), trace.keys.size());
-    std::remove(path.c_str());
 }
 
 TEST(TraceBinary, RecordingIsByteDeterministic) {
-    const std::string a = temp_path("p4all_trace_det_a.trc");
-    const std::string b = temp_path("p4all_trace_det_b.trc");
+    const test::UniqueTempDir tmp;
+    const std::string a = tmp.file("det_a.trc");
+    const std::string b = tmp.file("det_b.trc");
     const Trace trace = zipf_trace(512, 64, 1.3, 9);
     save_binary_trace(trace, a);
     save_binary_trace(trace, b);
@@ -56,21 +55,20 @@ TEST(TraceBinary, RecordingIsByteDeterministic) {
     // Replaying twice is bit-identical too — the replay determinism the CI
     // chaos job asserts end to end.
     EXPECT_EQ(load_binary_trace(a).keys, load_binary_trace(a).keys);
-    std::remove(a.c_str());
-    std::remove(b.c_str());
 }
 
 TEST(TraceBinary, EmptyTraceRoundTrips) {
-    const std::string path = temp_path("p4all_trace_empty.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("empty.trc");
     save_binary_trace(Trace{}, path);
     const Trace back = load_binary_trace(path);
     EXPECT_TRUE(back.keys.empty());
     EXPECT_TRUE(TraceReader(path).sealed());
-    std::remove(path.c_str());
 }
 
 TEST(TraceBinary, UnsealedCrashFileReplaysItsCompletePrefix) {
-    const std::string path = temp_path("p4all_trace_unsealed.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("unsealed.trc");
     {
         // Simulate a recorder that died before close(): write records, then
         // drop the writer without sealing by copying the pre-seal bytes.
@@ -93,11 +91,11 @@ TEST(TraceBinary, UnsealedCrashFileReplaysItsCompletePrefix) {
     ASSERT_EQ(back.keys.size(), 99u);
     EXPECT_EQ(back.keys.front(), 0u);
     EXPECT_EQ(back.keys.back(), 98u * 3);
-    std::remove(path.c_str());
 }
 
 TEST(TraceBinary, SealedFileWithMissingRecordsIsRefused) {
-    const std::string path = temp_path("p4all_trace_short.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("short.trc");
     save_binary_trace(zipf_trace(64, 16, 1.0, 3), path);
     std::string bytes = read_bytes(path);
     bytes.resize(bytes.size() - 8);  // drop one whole record, keep the seal
@@ -109,11 +107,11 @@ TEST(TraceBinary, SealedFileWithMissingRecordsIsRefused) {
         EXPECT_EQ(e.code(), Errc::TraceError);
         EXPECT_NE(std::string(e.what()).find("disagrees"), std::string::npos) << e.what();
     }
-    std::remove(path.c_str());
 }
 
 TEST(TraceBinary, TamperedRecordFailsTheSealedChecksum) {
-    const std::string path = temp_path("p4all_trace_tamper.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("tamper.trc");
     save_binary_trace(zipf_trace(64, 16, 1.0, 3), path);
     std::string bytes = read_bytes(path);
     bytes[28 + 8 * 10] ^= 0x40;  // flip one bit in the 11th record
@@ -125,13 +123,13 @@ TEST(TraceBinary, TamperedRecordFailsTheSealedChecksum) {
         EXPECT_EQ(e.code(), Errc::TraceError);
         EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos) << e.what();
     }
-    std::remove(path.c_str());
 }
 
 TEST(TraceBinary, GarbageAndMissingFilesAreTypedErrors) {
-    const std::string path = temp_path("p4all_trace_garbage.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("garbage.trc");
     write_bytes(path, "this is not a trace file at all, sorry");
-    for (const std::string& p : {path, temp_path("p4all_trace_nonexistent.trc")}) {
+    for (const std::string& p : {path, tmp.file("nonexistent.trc")}) {
         try {
             TraceReader reader(p);
             FAIL() << p;
@@ -139,12 +137,12 @@ TEST(TraceBinary, GarbageAndMissingFilesAreTypedErrors) {
             EXPECT_EQ(e.code(), Errc::TraceError);
         }
     }
-    std::remove(path.c_str());
 }
 
 TEST(TraceBinary, ChecksumMatchesTheSealedHeader) {
     const Trace trace = zipf_trace(256, 32, 1.2, 5);
-    const std::string path = temp_path("p4all_trace_sum.trc");
+    const test::UniqueTempDir tmp;
+    const std::string path = tmp.file("sum.trc");
     save_binary_trace(trace, path);
     const std::string bytes = read_bytes(path);
     std::uint64_t sealed = 0;
@@ -152,7 +150,6 @@ TEST(TraceBinary, ChecksumMatchesTheSealedHeader) {
         sealed |= std::uint64_t{static_cast<unsigned char>(bytes[20 + i])} << (8 * i);
     }
     EXPECT_EQ(sealed, trace_checksum(trace.keys));
-    std::remove(path.c_str());
 }
 
 }  // namespace

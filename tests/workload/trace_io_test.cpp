@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
+#include "unique_temp_dir.hpp"
 #include "workload/trace.hpp"
 
 namespace p4all::workload {
@@ -11,8 +11,8 @@ namespace {
 
 class TraceIo : public ::testing::Test {
 protected:
-    void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = ::testing::TempDir() + "p4all_trace_io_test.txt";
+    test::UniqueTempDir dir_;
+    std::string path_ = dir_.file("trace.txt");
 };
 
 TEST_F(TraceIo, SaveLoadRoundTrip) {
