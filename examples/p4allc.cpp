@@ -23,6 +23,7 @@
 //     --faults <spec>        arm deterministic fault injection (see
 //                            docs/RESILIENCE.md; same syntax as P4ALL_FAULTS)
 //     --quiet                layout summary only
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -48,6 +49,34 @@ std::string read_file(const std::string& path) {
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+const char* status_name(p4all::ilp::SolveStatus status) {
+    switch (status) {
+        case p4all::ilp::SolveStatus::Optimal: return "Optimal";
+        case p4all::ilp::SolveStatus::Infeasible: return "Infeasible";
+        case p4all::ilp::SolveStatus::Unbounded: return "Unbounded";
+        case p4all::ilp::SolveStatus::Limit: return "Limit";
+    }
+    return "?";
+}
+
+/// ", <status>[ after <code> (<name>)], root gap <pct>%" — the gap is the
+/// root relaxation bound's distance above the incumbent, omitted when the
+/// root LP was not solved to optimality.
+std::string solve_summary(const p4all::ilp::Solution& sol) {
+    std::string out = std::string(", ") + status_name(sol.status);
+    if (!sol.optimal()) {
+        out += std::string(" after ") + p4all::support::errc_code(sol.error) + " (" +
+               p4all::support::errc_name(sol.error) + ")";
+    }
+    if (!sol.root_duals.empty() && sol.objective != 0.0) {
+        char gap[64];
+        std::snprintf(gap, sizeof gap, ", root gap %.2f%%",
+                      100.0 * (sol.root_bound - sol.objective) / std::abs(sol.objective));
+        out += gap;
+    }
+    return out;
 }
 
 int usage() {
@@ -207,9 +236,12 @@ int main(int argc, char** argv) {
         }
         std::printf("%s", result.layout.to_string(result.program).c_str());
         if (!quiet) {
-            std::printf("ILP: %d variables, %d constraints, %lld branch-and-bound nodes\n",
+            const std::string solve = result.artifacts && result.artifacts->has_ilp
+                                          ? solve_summary(result.artifacts->solution)
+                                          : std::string();
+            std::printf("ILP: %d variables, %d constraints, %lld branch-and-bound nodes%s\n",
                         result.stats.ilp_vars, result.stats.ilp_constraints,
-                        static_cast<long long>(result.stats.bb_nodes));
+                        static_cast<long long>(result.stats.bb_nodes), solve.c_str());
         }
         if (show_report) {
             const p4all::compiler::UsageReport usage =

@@ -10,7 +10,6 @@
 #include "analysis/depgraph.hpp"
 #include "analysis/instances.hpp"
 #include "audit/certificate.hpp"
-#include "audit/cuts.hpp"
 
 namespace p4all::audit {
 
@@ -19,8 +18,6 @@ std::unique_ptr<verify::LintPass> make_register_bounds_proof_pass();
 std::unique_ptr<verify::LintPass> make_proof_fact_consistency_pass();
 // Implemented in rewrites.cpp.
 std::unique_ptr<verify::LintPass> make_rewrite_validity_pass();
-// Implemented in cuts.cpp.
-std::unique_ptr<verify::LintPass> make_cut_validity_pass();
 
 namespace {
 
@@ -457,8 +454,8 @@ public:
     [[nodiscard]] std::string_view id() const noexcept override { return "ilp-certificate-gap"; }
     [[nodiscard]] std::string_view description() const noexcept override {
         return "validates the root-relaxation dual certificate in exact rational arithmetic: "
-               "any sign-correct dual vector over the cut-extended root rows bounds the "
-               "incumbent from above by weak duality";
+               "any sign-correct dual vector over the model rows bounds the incumbent from "
+               "above by weak duality";
     }
 
     void run(verify::LintContext& ctx) override {
@@ -470,29 +467,8 @@ public:
             return;
         }
         if (art->solution.values.empty()) return;  // incumbent pass reports this
-        // The root duals certify against the cut-extended root relaxation:
-        // model rows first, then one Le row per pooled cut. Every cut must
-        // re-verify before its row may strengthen the bound — an unverifiable
-        // cut is the cut-validity pass's error; here it only voids the
-        // certificate.
-        const ilp::Model* rows = &art->ilp.model;
-        ilp::Model extended;
-        if (!art->solution.cuts.empty()) {
-            std::vector<ilp::CertifiedCut> verified;
-            verified.reserve(art->solution.cuts.size());
-            for (const ilp::CertifiedCut& cut : art->solution.cuts) {
-                if (verify_cut(art->ilp.model, verified, cut)) {
-                    ctx.note({}, "a pooled cut failed certificate re-derivation; duality-gap "
-                                 "check skipped (see ilp-cut-validity)");
-                    return;
-                }
-                verified.push_back(cut);
-            }
-            extended = extend_with_cuts(art->ilp.model, verified);
-            rows = &extended;
-        }
         const CertificateReport report = check_certificate(
-            *rows, art->solution.values, art->solution.objective,
+            art->ilp.model, art->solution.values, art->solution.objective,
             art->solution.root_duals, art->solution.root_bound_slack, CertificateOptions{});
         for (const std::string& n : report.certificate_notes) ctx.note({}, n);
         if (!report.has_certificate || !report.bound_finite) return;
@@ -516,7 +492,6 @@ void register_audit_passes(verify::PassRegistry& registry) {
     registry.add(std::make_unique<SymbolMismatchPass>());
     registry.add(std::make_unique<InfeasibleIncumbentPass>());
     registry.add(std::make_unique<CertificateGapPass>());
-    registry.add(make_cut_validity_pass());
     registry.add(make_register_bounds_proof_pass());
     registry.add(make_proof_fact_consistency_pass());
     registry.add(make_rewrite_validity_pass());

@@ -4,7 +4,7 @@
 // compiler claims from scratch, using only the elaborated IR, the
 // TargetSpec, and the final CompileArtifacts — deliberately sharing no code
 // with the compiler-side audit_layout()/compute_usage() checkers so a bug
-// in the compiler's accounting cannot hide itself. Exposed as nine lint
+// in the compiler's accounting cannot hide itself. Exposed as eight lint
 // passes in the standard verify registry:
 //
 //   layout-resource-overcommit   per-stage memory / ALU / hash / PHV
@@ -18,13 +18,8 @@
 //                                utility re-evaluated from the bindings
 //   ilp-infeasible-incumbent     exact rational feasibility + integrality of
 //                                the incumbent; claimed objective == c·x
-//   ilp-certificate-gap          weak-duality certificate of the (cut-
-//                                extended) root relaxation bounds the
-//                                incumbent
-//   ilp-cut-validity             every root cutting plane's exact-rational
-//                                certificate re-derived independently; a
-//                                forged, tampered, or misrounded cut rejects
-//                                the compile (src/audit/cuts.cpp)
+//   ilp-certificate-gap          weak-duality certificate of the root
+//                                relaxation bounds the incumbent
 //   register-bounds-proof        re-runs the abstract-interpretation bounds
 //                                engine over the artifacts' layout and
 //                                rejects any claimed-proved fact the
@@ -56,17 +51,17 @@ struct ArtifactsPayload : verify::LintPayload {
     const compiler::CompileArtifacts* artifacts = nullptr;
 };
 
-/// The nine audit check ids, registration order.
+/// The eight audit check ids, registration order.
 inline constexpr const char* kAuditChecks[] = {
     "layout-resource-overcommit", "layout-dependency-violation", "layout-symbol-mismatch",
-    "ilp-infeasible-incumbent",   "ilp-certificate-gap",         "ilp-cut-validity",
-    "register-bounds-proof",      "proof-fact-consistency",      "rewrite-validity",
+    "ilp-infeasible-incumbent",   "ilp-certificate-gap",         "register-bounds-proof",
+    "proof-fact-consistency",     "rewrite-validity",
 };
 
 /// Registers the audit passes into `registry` (idempotent per registry).
 void register_audit_passes(verify::PassRegistry& registry);
 
-/// Runs exactly the nine audit passes over `prog` + `artifacts` (against the
+/// Runs exactly the eight audit passes over `prog` + `artifacts` (against the
 /// artifacts' own target spec). Findings of severity Error mean the compile
 /// must be rejected.
 [[nodiscard]] verify::LintResult audit_artifacts(const ir::Program& prog,
@@ -74,7 +69,7 @@ void register_audit_passes(verify::PassRegistry& registry);
                                                  bool werror = false);
 
 /// Acceptance gate for the resilient driver (compiler/resilient.hpp): runs
-/// the nine audit passes and returns "" when the layout is clean, otherwise
+/// the eight audit passes and returns "" when the layout is clean, otherwise
 /// the rendered error findings. Injected as ResilienceOptions::external_gate
 /// — the compiler library cannot call this layer directly (it links the
 /// other way), so anytime incumbents get independently re-checked before the

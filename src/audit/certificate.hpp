@@ -26,10 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "audit/rational.hpp"
 #include "ilp/model.hpp"
+#include "support/rational.hpp"
 
 namespace p4all::audit {
+
+using support::Rat;
 
 struct CertificateOptions {
     /// Max exact row/bound residual tolerated (absorbs the LP's float

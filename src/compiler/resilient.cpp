@@ -172,11 +172,8 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
         }
     }
 
-    // 3. ILP restart: Bland's rule from iteration 0, a reseeded cost
-    // perturbation, and root cutting planes disabled — a different pivot
-    // path around the breakdown with the numerically simplest root
-    // relaxation (no separation rounds, no cut rows in the factorization).
-    // Only worth paying for when the first solve hit numerical trouble or
+    // 3. ILP restart: Bland's rule from iteration 0 and a reseeded cost
+    // perturbation — a different pivot path around the breakdown. Only worth paying for when the first solve hit numerical trouble or
     // shipped a layout the audit refused.
     if (!accepted && res.exact) {
         if (overall.cancelled()) {
@@ -188,7 +185,6 @@ CompileResult compile_resilient(const lang::Program& ast, const CompileOptions& 
             o.backend = Backend::Ilp;
             o.solve.lp.force_bland = true;
             o.solve.lp.perturb_seed = kRestartPerturbSeed;
-            o.solve.cuts_enabled = false;
             o.solve.deadline = hard.tightened(0.3 * res.budget_seconds);
             (void)run_attempt("ilp-bland", o, kRestartPerturbSeed);
         }

@@ -68,7 +68,7 @@ public:
                 }
                 double artificial_sum = 0.0;
                 for (int i = 0; i < m_; ++i) {
-                    if (basis_[static_cast<std::size_t>(i)] >= artificial_start_) {
+                    if (basis_[static_cast<std::size_t>(i)] >= first_artificial_) {
                         artificial_sum += std::abs(xb_[static_cast<std::size_t>(i)]);
                     }
                 }
@@ -78,7 +78,7 @@ public:
                 }
             }
             // Pin artificials to zero for phase 2.
-            for (int j = artificial_start_; j < cols_; ++j) {
+            for (int j = first_artificial_; j < cols_; ++j) {
                 span_[static_cast<std::size_t>(j)] = 0.0;
             }
             load_phase2_costs();
@@ -94,9 +94,18 @@ public:
             result.error = error_;
             return result;
         }
+        // Read a cold optimum off a fresh factorization of its optimal basis:
+        // values and duals then carry no eta-update drift and match what a
+        // warm re-solve from that basis reports. Search trees branch on
+        // last-bit differences in the root values (without this, bench_ilp's
+        // netcache instance takes 19 nodes instead of 17).
+        if (!warmed && !recompute_state()) {
+            result.status = LpStatus::IterLimit;
+            result.error = support::Errc::NumericalTrouble;
+            return result;
+        }
         if (options_.capture_basis != nullptr) {
             options_.capture_basis->basic = basis_;
-            options_.capture_basis->artificial_start = artificial_start_;
             options_.capture_basis->at_upper.assign(static_cast<std::size_t>(cols_), 0);
             for (int j = 0; j < cols_; ++j) {
                 const std::size_t js = static_cast<std::size_t>(j);
@@ -144,7 +153,6 @@ public:
         result.objective = model_.objective().evaluate(result.values);
         result.bound_slack = bound_slack_;
         result.bound = result.objective + bound_slack_;
-        if (options_.gomory_probe != nullptr) fill_gomory_probe(result);
         return result;
     }
 
@@ -238,8 +246,8 @@ private:
             }
             if (r.eq || r.negated) ++num_artificial_;
         }
-        artificial_start_ = n_ + num_slack;
-        // Every row owns an artificial column (row i ↔ artificial_start_+i),
+        first_artificial_ = n_ + num_slack;
+        // Every row owns an artificial column (row i ↔ first_artificial_+i),
         // whether or not it needs one initially. Which rows need an
         // artificial depends on the rhs sign after the lb shift — a
         // bounds-DEPENDENT property — so a per-need layout would shift
@@ -247,7 +255,7 @@ private:
         // make warm bases untransferable. With the fixed layout the standard
         // form's column space is a pure function of the model; unused
         // artificials are pinned nonbasic at zero and never priced.
-        cols_ = artificial_start_ + m_;
+        cols_ = first_artificial_ + m_;
 
         span_.assign(static_cast<std::size_t>(cols_), kInfinity);
         at_upper_.assign(static_cast<std::size_t>(cols_), false);
@@ -256,9 +264,7 @@ private:
         xb_.assign(static_cast<std::size_t>(m_), 0.0);
         rhs_.assign(static_cast<std::size_t>(m_), 0.0);
         aux_coeff_.assign(static_cast<std::size_t>(m_), 1.0);
-        aux_col_.assign(static_cast<std::size_t>(m_), -1);
         dual_sign_.assign(static_cast<std::size_t>(m_), 1);
-        row_orient_.assign(static_cast<std::size_t>(m_), 1);
         orig_row_.assign(static_cast<std::size_t>(m_), 0);
         cost_.assign(static_cast<std::size_t>(cols_), 0.0);
 
@@ -278,8 +284,7 @@ private:
             }
             rhs_[static_cast<std::size_t>(i)] = r.rhs;
             orig_row_[static_cast<std::size_t>(i)] = r.orig;
-            row_orient_[static_cast<std::size_t>(i)] = r.sense_sign * (r.negated ? -1 : 1);
-            const int artificial = artificial_start_ + i;
+            const int artificial = first_artificial_ + i;
             triplets.push_back({i, artificial, 1.0});
             int basic = -1;
             const int sigma_row = r.sense_sign * (r.negated ? -1 : 1);
@@ -287,14 +292,12 @@ private:
                 const double slack_coeff = r.negated ? -1.0 : 1.0;
                 triplets.push_back({i, next_slack, slack_coeff});
                 if (!r.negated) basic = next_slack;
-                aux_col_[static_cast<std::size_t>(i)] = next_slack;
                 aux_coeff_[static_cast<std::size_t>(i)] = slack_coeff;
                 dual_sign_[static_cast<std::size_t>(i)] = sigma_row * (r.negated ? -1 : 1);
                 ++next_slack;
             }
             if (basic < 0) {
                 if (r.eq) {
-                    aux_col_[static_cast<std::size_t>(i)] = artificial;
                     aux_coeff_[static_cast<std::size_t>(i)] = 1.0;
                     dual_sign_[static_cast<std::size_t>(i)] = sigma_row;
                 }
@@ -382,7 +385,7 @@ private:
 
     void load_phase1_costs() {
         std::fill(cost_.begin(), cost_.end(), 0.0);
-        for (int j = artificial_start_; j < cols_; ++j) cost_[static_cast<std::size_t>(j)] = 1.0;
+        for (int j = first_artificial_; j < cols_; ++j) cost_[static_cast<std::size_t>(j)] = 1.0;
         bound_slack_ = 0.0;
     }
 
@@ -438,36 +441,12 @@ private:
         const SimplexBasis& wb = *options_.warm_basis;
         const int wm = static_cast<int>(wb.basic.size());
         const int wcols = static_cast<int>(wb.at_upper.size());
-        const bool exact = wm == m_ && wcols == cols_;
-        // Row-append extension (the root cut loop): the imported basis came
-        // from this same standard form minus some trailing rows. Structural
-        // and slack indices are stable under row appends; the artificial
-        // block shifts as a whole. Each appended row enters the basis
-        // through its own auxiliary column — dual-feasible for free (the new
-        // row's dual value is zero, so no reduced cost moves) — and whatever
-        // primal violation the new rows carry is exactly what the dual
-        // simplex repairs.
-        const bool extend = !exact && wb.artificial_start > 0 && wm < m_ &&
-                            wcols == wb.artificial_start + wm &&
-                            wb.artificial_start <= artificial_start_;
-        if (!exact && !extend) {
+        if (wm != m_ || wcols != cols_) {
             return 0;  // stale shape: basis from a different model
         }
-        const auto remap = [&](int j) {
-            return !extend || j < wb.artificial_start
-                       ? j
-                       : artificial_start_ + (j - wb.artificial_start);
-        };
         std::fill(in_basis_.begin(), in_basis_.end(), false);
         for (int i = 0; i < m_; ++i) {
-            int j;
-            if (i < wm) {
-                j = wb.basic[static_cast<std::size_t>(i)];
-                if (j < 0 || j >= wcols) return 0;
-                j = remap(j);
-            } else {
-                j = aux_col_[static_cast<std::size_t>(i)];
-            }
+            const int j = wb.basic[static_cast<std::size_t>(i)];
             if (j < 0 || j >= cols_ || in_basis_[static_cast<std::size_t>(j)]) {
                 return 0;  // malformed basis (out of range / duplicate)
             }
@@ -475,16 +454,15 @@ private:
             in_basis_[static_cast<std::size_t>(j)] = true;
         }
         std::fill(at_upper_.begin(), at_upper_.end(), false);
-        for (int j = 0; j < wcols; ++j) {
-            const std::size_t ts = static_cast<std::size_t>(remap(j));
-            at_upper_[ts] = wb.at_upper[static_cast<std::size_t>(j)] != 0 && !in_basis_[ts] &&
-                            span_[ts] != kInfinity;
+        for (int j = 0; j < cols_; ++j) {
+            const std::size_t js = static_cast<std::size_t>(j);
+            at_upper_[js] = wb.at_upper[js] != 0 && !in_basis_[js] && span_[js] != kInfinity;
         }
         // Artificials are fixed at zero throughout the warm route: a basic
         // artificial left over from a degenerate parent pivot is allowed,
         // and if the child's rhs shift gives it a nonzero value the dual
         // simplex drives it out like any other bound violation.
-        for (int j = artificial_start_; j < cols_; ++j) {
+        for (int j = first_artificial_; j < cols_; ++j) {
             span_[static_cast<std::size_t>(j)] = 0.0;
         }
         if (!recompute_state()) return 0;
@@ -501,7 +479,7 @@ private:
             }
             factor_.btran(y);
             constexpr double kDualTol = 1e-7;
-            for (int j = 0; j < artificial_start_; ++j) {
+            for (int j = 0; j < first_artificial_; ++j) {
                 const std::size_t js = static_cast<std::size_t>(j);
                 if (in_basis_[js] || span_[js] <= options_.tol) continue;
                 const double r = cost_[js] - A_.dot_col(j, y);
@@ -617,7 +595,7 @@ private:
             int enter = -1;
             double best_ratio = kInfinity;
             double best_alpha = 0.0;
-            for (int j = 0; j < artificial_start_; ++j) {
+            for (int j = 0; j < first_artificial_; ++j) {
                 const std::size_t js = static_cast<std::size_t>(j);
                 if (in_basis_[js]) continue;
                 if (span_[js] <= tol) continue;  // fixed: never blocks the dual ray
@@ -733,38 +711,6 @@ private:
         return obj;
     }
 
-    /// Deposits Gomory raw material: for every basic, fractional,
-    /// integer-typed structural variable, the tableau-row multipliers mapped
-    /// back to original model rows (ρ undoes row scaling, row_orient_ undoes
-    /// the Ge→Le and negative-rhs negations; folded singleton rows have no
-    /// standard-form row and therefore multiplier 0).
-    void fill_gomory_probe(const LpResult& result) {
-        auto& probe = *options_.gomory_probe;
-        probe.clear();
-        std::vector<double> rho(static_cast<std::size_t>(m_));
-        for (int i = 0; i < m_; ++i) {
-            const int j = basis_[static_cast<std::size_t>(i)];
-            if (j >= n_) continue;
-            if (model_.var_type(j) == VarType::Continuous) continue;
-            const double x = result.values[static_cast<std::size_t>(j)];
-            const double frac = x - std::floor(x);
-            if (frac < 1e-6 || frac > 1.0 - 1e-6) continue;
-            std::fill(rho.begin(), rho.end(), 0.0);
-            rho[static_cast<std::size_t>(i)] = 1.0;
-            factor_.btran(rho);
-            TableauRow row;
-            row.var = j;
-            row.value = x;
-            row.mult.assign(static_cast<std::size_t>(model_.num_constraints()), 0.0);
-            for (int k = 0; k < m_; ++k) {
-                const std::size_t ks = static_cast<std::size_t>(k);
-                row.mult[static_cast<std::size_t>(orig_row_[ks])] =
-                    rho[ks] * row_scale_[ks] * static_cast<double>(row_orient_[ks]);
-            }
-            probe.push_back(std::move(row));
-        }
-    }
-
     LpStatus iterate(int& iterations, bool phase1) {
         const int limit =
             options_.max_iterations > 0 ? options_.max_iterations : 400 + 60 * (m_ + cols_);
@@ -805,7 +751,7 @@ private:
             for (int j = 0; j < cols_; ++j) {
                 const std::size_t js = static_cast<std::size_t>(j);
                 if (in_basis_[js]) continue;
-                if (j >= artificial_start_) continue;  // artificials never re-enter
+                if (j >= first_artificial_) continue;  // artificials never re-enter
                 if (span_[js] <= tol) continue;        // fixed variable
                 const double r = cost_[js] - A_.dot_col(j, y);
                 double dir = 1.0;
@@ -1013,7 +959,7 @@ private:
 
     int m_ = 0;
     int cols_ = 0;
-    int artificial_start_ = 0;
+    int first_artificial_ = 0;
     int num_artificial_ = 0;
 
     CscMatrix A_;
@@ -1027,10 +973,8 @@ private:
     std::vector<bool> in_basis_;
     std::vector<int> basis_;        // row -> basic column
     std::vector<double> xb_;        // basic values
-    std::vector<int> aux_col_;      // row -> slack/artificial column (duals)
     std::vector<double> aux_coeff_; // row -> that column's coefficient (±1)
     std::vector<int> dual_sign_;    // row -> σrow·σcol sign for dual readout
-    std::vector<int> row_orient_;   // row -> ± sign mapping std row back to orig row
     std::vector<int> orig_row_;     // row -> model constraint index
     std::vector<int> init_basis_;   // post-build snapshot for cold restarts
     std::vector<double> init_span_;

@@ -50,7 +50,7 @@ public:
             }
             double artificial_sum = 0.0;
             for (int i = 0; i < m_; ++i) {
-                if (basis_[static_cast<std::size_t>(i)] >= artificial_start_) {
+                if (basis_[static_cast<std::size_t>(i)] >= first_artificial_) {
                     artificial_sum += xb_[static_cast<std::size_t>(i)];
                 }
             }
@@ -59,7 +59,7 @@ public:
                 return result;
             }
             // Pin artificials to zero for phase 2.
-            for (int j = artificial_start_; j < cols_; ++j) {
+            for (int j = first_artificial_; j < cols_; ++j) {
                 span_[static_cast<std::size_t>(j)] = 0.0;
             }
         }
@@ -178,8 +178,8 @@ private:
             }
             if (r.eq || r.negated) ++num_artificial_;
         }
-        artificial_start_ = n_ + num_slack;
-        cols_ = artificial_start_ + num_artificial_;
+        first_artificial_ = n_ + num_slack;
+        cols_ = first_artificial_ + num_artificial_;
         data_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(cols_), 0.0);
         obj_.assign(static_cast<std::size_t>(cols_), 0.0);
         span_.assign(static_cast<std::size_t>(cols_), kInfinity);
@@ -201,7 +201,7 @@ private:
         aux_col_.assign(static_cast<std::size_t>(m_), -1);
         dual_sign_.assign(static_cast<std::size_t>(m_), 1);
         int next_slack = n_;
-        int next_artificial = artificial_start_;
+        int next_artificial = first_artificial_;
         for (int i = 0; i < m_; ++i) {
             const Row& r = rows[static_cast<std::size_t>(i)];
             for (const auto& [id, c] : r.terms) at(i, id) += c;
@@ -327,7 +327,7 @@ private:
 
     void load_phase1_objective() {
         std::fill(obj_.begin(), obj_.end(), 0.0);
-        for (int j = artificial_start_; j < cols_; ++j) obj_[static_cast<std::size_t>(j)] = 1.0;
+        for (int j = first_artificial_; j < cols_; ++j) obj_[static_cast<std::size_t>(j)] = 1.0;
         cost0_ = obj_;  // pristine costs for rebuild_from_basis()
         reduce_objective();
     }
@@ -440,7 +440,7 @@ private:
             for (int j = 0; j < cols_; ++j) {
                 const std::size_t js = static_cast<std::size_t>(j);
                 if (in_basis_[js]) continue;
-                if (j >= artificial_start_) continue;  // artificials never re-enter
+                if (j >= first_artificial_) continue;  // artificials never re-enter
                 if (span_[js] <= tol) continue;        // fixed variable
                 const double r = obj_[js];
                 double dir = 1.0;
@@ -673,7 +673,7 @@ private:
     int n_ = 0;
     int m_ = 0;
     int cols_ = 0;
-    int artificial_start_ = 0;
+    int first_artificial_ = 0;
     int num_artificial_ = 0;
 
     std::vector<double> data_;      // m × cols tableau

@@ -35,25 +35,7 @@ enum class LpStatus { Optimal, Infeasible, Unbounded, IterLimit };
 struct SimplexBasis {
     std::vector<int> basic;               // standard-form row -> basic column
     std::vector<std::uint8_t> at_upper;   // standard-form column -> at upper bound
-    /// Where the artificial block started when this basis was captured.
-    /// Lets a later import remap column identities after rows were APPENDED
-    /// to the model (the root cut loop): structural and slack indices are
-    /// stable under row appends, artificials shift as a block. −1 on a
-    /// default-constructed basis (import then requires an exact shape match).
-    int artificial_start = -1;
     [[nodiscard]] bool empty() const noexcept { return basic.empty(); }
-};
-
-/// Raw material for deriving one Gomory fractional cut: the tableau-row
-/// multipliers of a basic structural variable with fractional value, mapped
-/// back to original model rows (folded singleton rows get multiplier 0).
-/// These are heuristic float suggestions only — the cut itself is rebuilt in
-/// exact rational arithmetic by ilp/cuts.cpp, so nothing downstream depends
-/// on their accuracy.
-struct TableauRow {
-    int var = -1;               // model variable id (basic and fractional)
-    double value = 0.0;         // its value in the optimal solution
-    std::vector<double> mult;   // one multiplier per model constraint row
 };
 
 struct LpResult {
@@ -126,10 +108,6 @@ struct LpOptions {
     /// their perturbed optima remain comparable.
     const std::vector<double>* perturb_ref_lb = nullptr;
     const std::vector<double>* perturb_ref_ub = nullptr;
-    /// When non-null and the solve ends Optimal, the sparse backend deposits
-    /// one TableauRow per fractional basic integer-typed structural variable
-    /// (cut separation input). Dense backend ignores it.
-    std::vector<TableauRow>* gomory_probe = nullptr;
     /// When non-null, the engine appends the (scaled, perturbed,
     /// minimize-form) objective value after every dual simplex pivot — the
     /// dual_simplex_test property suite asserts this sequence is monotone

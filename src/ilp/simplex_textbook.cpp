@@ -146,10 +146,10 @@ private:
         basis_.assign(static_cast<std::size_t>(m_), -1);
         aux_col_.assign(static_cast<std::size_t>(m_), 0);
         dual_sign_.assign(static_cast<std::size_t>(m_), 1);
-        artificial_start_ = n_ + num_slack;
+        first_artificial_ = n_ + num_slack;
 
         int next_slack = n_;
-        int next_artificial = artificial_start_;
+        int next_artificial = first_artificial_;
         for (int i = 0; i < m_; ++i) {
             const Row& r = rows[static_cast<std::size_t>(i)];
             const std::size_t is = static_cast<std::size_t>(i);
@@ -185,9 +185,9 @@ private:
     /// by subtracting the rows whose basic variable is artificial.
     void load_phase1_objective() {
         std::fill(obj_.begin(), obj_.end(), 0.0);
-        for (int j = artificial_start_; j < cols_; ++j) obj(j) = 1.0;
+        for (int j = first_artificial_; j < cols_; ++j) obj(j) = 1.0;
         for (int i = 0; i < m_; ++i) {
-            if (basis_[static_cast<std::size_t>(i)] >= artificial_start_) {
+            if (basis_[static_cast<std::size_t>(i)] >= first_artificial_) {
                 for (int j = 0; j <= cols_; ++j) {
                     obj_[static_cast<std::size_t>(j)] -= get(i, j);
                 }
@@ -219,8 +219,8 @@ private:
     /// since the artificial is 0 and banned from re-entering.
     void pivot_out_artificials() {
         for (int i = 0; i < m_; ++i) {
-            if (basis_[static_cast<std::size_t>(i)] < artificial_start_) continue;
-            for (int j = 0; j < artificial_start_; ++j) {
+            if (basis_[static_cast<std::size_t>(i)] < first_artificial_) continue;
+            for (int j = 0; j < first_artificial_; ++j) {
                 if (std::abs(get(i, j)) > 1e-7) {
                     pivot(i, j);
                     break;
@@ -256,9 +256,9 @@ private:
             // re-enter; in phase 2 they are banned entirely.
             int enter = -1;
             double best = -tol;
-            const int scan_end = phase1 ? cols_ : artificial_start_;
+            const int scan_end = phase1 ? cols_ : first_artificial_;
             for (int j = 0; j < scan_end; ++j) {
-                if (j >= artificial_start_) continue;  // never re-enter
+                if (j >= first_artificial_) continue;  // never re-enter
                 const double r = obj_[static_cast<std::size_t>(j)];
                 if (r < (bland ? -tol : best)) {
                     enter = j;
@@ -335,7 +335,7 @@ private:
     int m_ = 0;     // tableau rows
     int cols_ = 0;  // total columns (structural + slack + artificial)
     std::size_t stride_ = 0;
-    int artificial_start_ = 0;
+    int first_artificial_ = 0;
     int num_artificial_ = 0;
     bool phase1_ = false;
 

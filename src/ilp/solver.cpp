@@ -148,22 +148,14 @@ void snap_integers(const Model& model, std::vector<double>& values) {
 }
 
 /// Everything the engine needs beyond SolveOptions, prepared once by
-/// solve_milp: the model to evaluate feasibility/objectives against (`base`,
-/// no cut rows), the model every LP relaxes (`work`, base + certified cut
-/// rows), the presolved root bounds (which double as the frozen perturbation
-/// reference for the whole tree), and the root cut loop's outputs.
+/// solve_milp: the presolve-cleaned model every LP relaxes and every
+/// feasibility/objective check evaluates against, and the presolved root
+/// bounds (which double as the frozen perturbation reference for the whole
+/// tree).
 struct SearchContext {
     const Model* base = nullptr;
-    const Model* work = nullptr;
     const std::vector<double>* root_lb = nullptr;
     const std::vector<double>* root_ub = nullptr;
-    /// Optimal basis of the final (cut-extended) root LP; seeds the engine's
-    /// root node so the re-solve is a near-free dual-simplex confirmation.
-    std::shared_ptr<const SimplexBasis> root_basis;
-    /// True when the cut loop already committed Solution::root_duals /
-    /// root_bound for the cut-extended root — the engine then skips its own
-    /// root-certificate capture.
-    bool root_certified = false;
     /// Sparse backend with warm starts enabled: thread parent bases to
     /// children and capture each node's optimal basis.
     bool use_warm = false;
@@ -310,7 +302,6 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                                const support::Deadline& deadline,
                                Clock::time_point start) {
     const Model& base = *ctx.base;
-    const Model& work = *ctx.work;
     LpOptions lp_options = options.lp;
     lp_options.deadline = deadline;
     lp_options.perturb_ref_lb = ctx.root_lb;
@@ -345,7 +336,6 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
         Node root;
         root.lb = *ctx.root_lb;
         root.ub = *ctx.root_ub;
-        root.warm = ctx.root_basis;
         queue.push(std::move(root));
     }
     std::uint64_t next_seq = 1;
@@ -424,7 +414,7 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                 }
                 node_options.capture_basis = &captures[is];
             }
-            results[is] = solve_lp_with(options.lp_backend, work, &node.lb, &node.ub,
+            results[is] = solve_lp_with(options.lp_backend, base, &node.lb, &node.ub,
                                         node_options);
         });
 
@@ -439,13 +429,11 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
                           node.branch_up ? 1.0 - node.branch_frac : node.branch_frac,
                           node.parent_obj - lp.objective);
             }
-            if (!ctx.root_certified && node.seq == 0 && lp.status == LpStatus::Optimal) {
+            if (node.seq == 0 && lp.status == LpStatus::Optimal) {
                 // Root relaxation: keep its dual certificate so the audit
                 // layer can independently witness the global bound. The
                 // duals arrive through the backend-agnostic LpResult
-                // contract — dense tableau and sparse BTRAN alike. (When the
-                // cut loop ran, the cut-extended certificate it committed
-                // supersedes this capture.)
+                // contract — dense tableau and sparse BTRAN alike.
                 best.root_duals = lp.duals;
                 best.root_bound = lp.bound;
                 best.root_bound_slack = lp.bound_slack;
@@ -573,136 +561,6 @@ Solution solve_milp_best_first(const SearchContext& ctx, const SolveOptions& opt
     return best;
 }
 
-// ---------------------------------------------------------------------------
-// Root cut loop
-// ---------------------------------------------------------------------------
-
-/// Outputs of the root separation rounds. Invariant: `cuts`, `work`,
-/// `basis`, and the certificate fields are mutually consistent — they all
-/// describe the state as of the LAST SUCCESSFUL root LP solve. Cuts whose
-/// post-append re-solve failed (deadline, fault injection, numerical
-/// trouble) are rolled back, never half-committed, so Solution::cuts always
-/// matches Solution::root_duals row for row.
-struct RootCutResult {
-    std::vector<CertifiedCut> cuts;
-    std::vector<double> root_duals;
-    double root_bound = 0.0;
-    double root_bound_slack = 0.0;
-    bool certified = false;
-    std::shared_ptr<const SimplexBasis> basis;
-    std::optional<Model> work;  // base + cuts; engaged only when cuts exist
-    std::int64_t lp_iterations = 0;
-};
-
-/// `base` is the model the LPs relax (presolve-cleaned); `cut_model` is the
-/// ORIGINAL model the certificates are derived against — identical row
-/// count/order and bounds, but with the coefficients exactly as the caller
-/// wrote them, so the audit layer re-verifies every certificate bit-for-bit
-/// without knowing presolve happened.
-RootCutResult run_root_cut_loop(const Model& base, const Model& cut_model,
-                                const std::vector<double>& root_lb,
-                                const std::vector<double>& root_ub,
-                                const SolveOptions& options,
-                                const support::Deadline& deadline) {
-    RootCutResult out;
-    LpOptions lp_options = options.lp;
-    lp_options.deadline = deadline;
-    lp_options.perturb_ref_lb = &root_lb;
-    lp_options.perturb_ref_ub = &root_ub;
-    std::vector<TableauRow> probe;
-    if (options.lp_backend == LpBackend::Sparse) lp_options.gomory_probe = &probe;
-    const bool use_warm =
-        options.lp_backend == LpBackend::Sparse && options.warm_start_lp;
-
-    Model work = base;
-    std::vector<CertifiedCut> pool;   // every cut currently appended to `work`
-    std::size_t certified = 0;        // prefix validated by a successful solve
-    SimplexBasis warm_store;          // basis of the last successful solve
-
-    for (int round = 0;; ++round) {
-        // Deadline between rounds (e.g. it expired mid-separation): stop
-        // here with the certified prefix; the engine reports the Limit with
-        // the best incumbent and the committed POST-cut root bound — never
-        // the pre-cut relaxation bound.
-        if (deadline.expired()) break;
-        probe.clear();
-        LpOptions round_options = lp_options;
-        SimplexBasis captured;
-        if (use_warm) {
-            // Across rounds the basis transfers by row-append extension
-            // (see RevisedSimplex::try_warm_start): new cut rows enter on
-            // their own slack, dual feasibility is preserved, and the dual
-            // simplex prices the violated cuts in.
-            if (!warm_store.empty()) round_options.warm_basis = &warm_store;
-            round_options.capture_basis = &captured;
-        }
-        const LpResult lp =
-            solve_lp_with(options.lp_backend, work, &root_lb, &root_ub, round_options);
-        out.lp_iterations += lp.iterations;
-        // Any non-optimal outcome ends separation: the uncertified suffix is
-        // rolled back below and the engine takes over (it re-solves the
-        // root itself and reports deadline/unbounded/infeasible through the
-        // established paths). Cuts already certified stay — they are valid
-        // regardless of why a later LP failed.
-        if (lp.status != LpStatus::Optimal) break;
-
-        // Tailing off: when the cuts appended last round moved the bound by
-        // less than min_round_improvement·|bound|, separation has
-        // degenerated into chasing vertices around a face — stop WITHOUT
-        // committing them (the roll-back below removes the suffix), so the
-        // search is not taxed with bound-neutral rows at every node.
-        if (out.certified &&
-            out.root_bound - lp.bound <
-                options.cut_limits.min_round_improvement *
-                    std::max(1.0, std::abs(lp.bound))) {
-            break;
-        }
-
-        // Commit: everything appended so far survived a full re-solve.
-        certified = pool.size();
-        out.certified = true;
-        out.root_duals = lp.duals;
-        out.root_bound = lp.bound;
-        out.root_bound_slack = lp.bound_slack;
-        if (use_warm && !captured.empty()) {
-            warm_store = captured;
-            out.basis = std::make_shared<SimplexBasis>(std::move(captured));
-        }
-
-        if (round >= options.cut_limits.max_rounds) break;
-        if (static_cast<int>(pool.size()) >= options.cut_limits.max_total) break;
-        bool fractional = false;
-        for (int j = 0; j < base.num_vars() && !fractional; ++j) {
-            if (base.var_type(j) == VarType::Continuous) continue;
-            const double x = lp.values[static_cast<std::size_t>(j)];
-            fractional = std::abs(x - std::round(x)) > options.int_tol;
-        }
-        if (!fractional) break;  // integral root: nothing left to separate
-
-        const std::vector<CertifiedCut> fresh =
-            separate_cuts(cut_model, pool, lp.values, probe, options.cut_limits,
-                          static_cast<int>(pool.size()));
-        if (fresh.empty()) break;
-        for (const CertifiedCut& cut : fresh) {
-            work.add_le(cut.expr, cut.rhs, cut.name);
-            pool.push_back(cut);
-        }
-    }
-
-    // Roll back to the certified prefix and rebuild the work model from it
-    // (cheaper to re-append a handful of rows than to track row removal).
-    pool.resize(certified);
-    out.cuts = std::move(pool);
-    if (!out.cuts.empty()) {
-        Model rebuilt = base;
-        for (const CertifiedCut& cut : out.cuts) {
-            rebuilt.add_le(cut.expr, cut.rhs, cut.name);
-        }
-        out.work = std::move(rebuilt);
-    }
-    return out;
-}
-
 }  // namespace
 
 std::int64_t Solution::value_int(Var v) const {
@@ -732,37 +590,13 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
     }
     const Model& base = pre.cleaned ? *pre.cleaned : model;
 
-    // Root cutting planes: certified Gomory + cover rounds tighten the root
-    // relaxation before any branching. Cuts are derived and certified
-    // against the ORIGINAL model (rows and bounds as the caller wrote them,
-    // not the presolved/cleaned form), so the audit layer can re-verify
-    // every certificate without knowing about presolve.
-    RootCutResult root;
-    if (options.cuts_enabled && base.num_integer_vars() > 0 && !deadline.expired()) {
-        root = run_root_cut_loop(base, model, pre.lb, pre.ub, options, deadline);
-    }
-
     SearchContext ctx;
     ctx.base = &base;
-    ctx.work = root.work ? &*root.work : &base;
     ctx.root_lb = &pre.lb;
     ctx.root_ub = &pre.ub;
-    ctx.root_basis = root.basis;
-    ctx.root_certified = root.certified;
     ctx.use_warm = options.lp_backend == LpBackend::Sparse && options.warm_start_lp;
 
     Solution best = solve_milp_best_first(ctx, options, deadline, start);
-
-    best.lp_iterations += root.lp_iterations;
-    if (root.certified) {
-        // The cut-extended root certificate supersedes whatever the engine
-        // captured: Solution::root_duals has one entry per base row plus one
-        // per certified cut, in Solution::cuts order.
-        best.root_duals = std::move(root.root_duals);
-        best.root_bound = root.root_bound;
-        best.root_bound_slack = root.root_bound_slack;
-    }
-    best.cuts = std::move(root.cuts);
 
     if (best.status == SolveStatus::Limit && best.error == support::Errc::None) {
         best.error = support::Errc::ResourceLimit;

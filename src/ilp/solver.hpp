@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "ilp/cuts.hpp"
 #include "ilp/model.hpp"
 #include "ilp/revised_simplex.hpp"
 #include "ilp/simplex.hpp"
@@ -39,18 +38,13 @@ struct Solution {
     /// exact rational arithmetic and checks it against the incumbent
     /// (audit/certificate.hpp). Empty when the root LP was not solved to
     /// optimality.
-    /// One entry per model constraint, then one per entry of `cuts` (the
-    /// root certificate is taken over the cut-extended root relaxation).
     std::vector<double> root_duals;
     double root_bound = 0.0;        // solver's float view of the root bound
     double root_bound_slack = 0.0;  // root LP perturbation budget
 
-    /// Cutting planes active in the root relaxation that produced
-    /// root_duals, in derivation order, each with its exact-rational
-    /// validity certificate. The audit layer re-verifies every certificate
-    /// independently and extends the model by the verified rows before
-    /// re-deriving the weak-duality bound (src/audit/cuts.cpp).
-    std::vector<CertifiedCut> cuts;
+    /// Always empty: the solver derives no cutting planes. Kept only because
+    /// perfbench/main.cpp reads cuts.size() for its ilp.cuts.* metric.
+    std::vector<LinExpr> cuts;
 
     // Statistics.
     std::int64_t nodes = 0;
@@ -91,13 +85,6 @@ struct SolveOptions {
     /// Optional known-feasible assignment (e.g. from a heuristic) used as
     /// the initial incumbent; ignored if it fails the feasibility check.
     std::vector<double> warm_start;
-    /// Root cutting planes (certified Gomory + knapsack covers). When on,
-    /// the root relaxation is tightened by separation rounds before
-    /// branch-and-bound starts; every pooled cut carries an exact-rational
-    /// validity certificate in Solution::cuts. Off restores the plain root
-    /// relaxation (the portfolio's numerically-conservative rungs use this).
-    bool cuts_enabled = true;
-    CutLimits cut_limits;
     /// Warm-start each branch-and-bound child LP from its parent's optimal
     /// basis via dual simplex (sparse backend only; the dense backend and
     /// cold solves are unaffected). A child differs from its parent by one

@@ -259,7 +259,7 @@ SwapEvent ElasticRuntime::attempt_swap(const std::string& extra, const std::stri
     const StaticMigrationPlan plan =
         plan_migration(current_->compiled.program, current_->compiled.layout,
                        candidate->compiled.program, candidate->compiled.layout);
-    if (options_.require_invariants && !plan.invariants_preserved()) {
+    if (!plan.invariants_preserved()) {
         event.migration_exact = false;
         event.invariants_preserved = false;
         return reject(
@@ -278,7 +278,7 @@ SwapEvent ElasticRuntime::attempt_swap(const std::string& extra, const std::stri
     event.invariants_preserved = migration.invariants_preserved();
     event.entries_dropped = migration.entries_dropped();
 
-    if (options_.require_invariants && !migration.invariants_preserved()) {
+    if (!migration.invariants_preserved()) {
         return reject("migration broke a module invariant:\n" + migration.to_string());
     }
 
@@ -451,7 +451,7 @@ std::unique_ptr<ElasticRuntime> ElasticRuntime::recover(std::string name, std::s
         std::string why;
         std::unique_ptr<Epoch> cand =
             try_restore(sum.tail_epoch, sum.tail_extra, sum.tail_state_checksum, why);
-        if (cand != nullptr && rt->options_.require_invariants && sum.has_commit()) {
+        if (cand != nullptr && sum.has_commit()) {
             const CommittedEpoch& prev = sum.last_committed();
             std::string prev_full = rt->source_;
             if (!prev.extra.empty()) prev_full += "\n" + prev.extra;

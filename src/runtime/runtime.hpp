@@ -12,9 +12,8 @@
 //                  migrator (migrate.hpp); the old pipeline is never
 //                  written, so the serving epoch is untouched throughout;
 //   3. gate        the swap commits only if migration preserved every
-//                  module invariant (when require_invariants is set) and
-//                  the post-migration snapshot persisted (when a
-//                  snapshot_path is configured);
+//                  module invariant and the post-migration snapshot
+//                  persisted (when a snapshot_path is configured);
 //   4. swap        one epoch-counter bump adopts the new pipeline; packets
 //                  keep flowing against the old epoch until this instant
 //                  (single-threaded here, but the commit point is atomic by
@@ -78,8 +77,6 @@ struct RuntimeOptions {
     DriftOptions drift;
     /// Reconfigure automatically when note_packet completes a drifted window.
     bool auto_reconfigure = true;
-    /// Reject (roll back) swaps whose migration broke a module invariant.
-    bool require_invariants = true;
     /// When non-empty: a crash-safe snapshot of the new state is written
     /// here on every committed swap, and a failed write aborts the swap.
     std::string snapshot_path;

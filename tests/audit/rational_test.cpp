@@ -1,4 +1,4 @@
-#include "audit/rational.hpp"
+#include "support/rational.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 
 #include "support/error.hpp"
 
-namespace p4all::audit {
+namespace p4all::support {
 namespace {
 
 TEST(Rational, FromDoubleIsExactOnDyadics) {
@@ -113,4 +113,4 @@ TEST(Rational, ToStringRendersLowestTerms) {
 }
 
 }  // namespace
-}  // namespace p4all::audit
+}  // namespace p4all::support

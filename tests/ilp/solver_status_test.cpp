@@ -1,11 +1,16 @@
 // Property-style status-reporting tests (resilience satellite): degenerate,
 // infeasible, unbounded, and budget-starved models must come back with the
 // right SolveStatus and a consistent Solution shape — never a false Optimal,
-// never a partially-filled values vector.
+// never a partially-filled values vector, never a lost warm-start incumbent
+// (even when an LP breaks down mid-search).
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ilp/simplex.hpp"
 #include "ilp/solver.hpp"
+#include "support/faultpoint.hpp"
 #include "support/rng.hpp"
 
 namespace p4all::ilp {
@@ -118,16 +123,113 @@ TEST(SolveStatusProps, NodeBudgetIsLimitWithResourceCode) {
 
 TEST(SolveStatusProps, WarmStartSurvivesAnExpiredDeadline) {
     // Anytime semantics at the solver level: the incumbent handed in as a
-    // warm start must come back in a Limit result, not be discarded.
+    // warm start must come back in a Limit result, not be discarded — on
+    // either LP backend.
     const Model m = small_feasible_model();
+    for (const LpBackend backend : {LpBackend::Dense, LpBackend::Sparse}) {
+        const char* label = to_string(backend);
+        SolveOptions opts;
+        opts.lp_backend = backend;
+        opts.deadline = support::Deadline::after_seconds(0.0);
+        opts.warm_start = {0.0, 4.0};
+        const Solution s = solve_milp(m, opts);
+        EXPECT_EQ(s.status, SolveStatus::Limit) << label;
+        EXPECT_EQ(s.error, support::Errc::DeadlineExceeded) << label;
+        ASSERT_EQ(s.values.size(), 2u) << label;
+        EXPECT_NEAR(s.objective, 16.0, 1e-9) << label;
+        EXPECT_TRUE(m.is_feasible(s.values, 1e-6)) << label;
+    }
+}
+
+/// Eight binaries under three knapsack rows: a real root gap, a feasible
+/// all-zeros warm start, and enough LP work that a pivot-fault sweep lands
+/// in the root solve and in branch-and-bound children alike.
+Model gap_model() {
+    Model m;
+    std::vector<Var> x;
+    LinExpr obj;
+    for (int j = 0; j < 8; ++j) {
+        x.push_back(m.add_binary("x" + std::to_string(j)));
+        obj.add(x.back(), 2.0 + static_cast<double>(j % 3));
+    }
+    m.set_objective(obj);
+    LinExpr a, b, c;
+    for (int j = 0; j < 8; ++j) {
+        a.add(x[static_cast<std::size_t>(j)], 2.0);
+        if (j % 2 == 0) b.add(x[static_cast<std::size_t>(j)], 3.0);
+        if (j % 3 == 0) c.add(x[static_cast<std::size_t>(j)], 2.0);
+    }
+    m.add_le(std::move(a), 7, "a");
+    m.add_le(std::move(b), 5, "b");
+    m.add_le(std::move(c), 3, "c");
+    return m;
+}
+
+TEST(SolveStatusProps, PivotFaultSweepKeepsWarmIncumbentAndRootBound) {
+    // An LP that breaks down at its H-th pivot (simulated numerical trouble,
+    // for every H across the root solve and the search) must end in a clean
+    // Optimal or Limit, keep a feasible incumbent (at worst the warm start),
+    // and never report a root bound below the optimum.
+    const Model m = gap_model();
     SolveOptions opts;
-    opts.deadline = support::Deadline::after_seconds(0.0);
-    opts.warm_start = {0.0, 4.0};
-    const Solution s = solve_milp(m, opts);
+    opts.lp_backend = LpBackend::Sparse;
+    opts.threads = 1;  // deterministic fault-hit ordinals
+    opts.warm_start.assign(static_cast<std::size_t>(m.num_vars()), 0.0);
+    const Solution clean = solve_milp(m, opts);
+    ASSERT_EQ(clean.status, SolveStatus::Optimal);
+
+    auto& reg = support::FaultRegistry::instance();
+    int limits = 0;
+    for (int hit = 1; hit <= 80; ++hit) {
+        reg.configure("simplex.pivot:after=" + std::to_string(hit));
+        const Solution s = solve_milp(m, opts);
+        const std::string label = "fault at pivot " + std::to_string(hit);
+        ASSERT_TRUE(s.status == SolveStatus::Optimal || s.status == SolveStatus::Limit)
+            << label;
+        ASSERT_FALSE(s.values.empty()) << label;
+        EXPECT_TRUE(m.is_feasible(s.values, 1e-6)) << label;
+        EXPECT_GE(s.objective, -1e-9) << label;
+        if (s.status == SolveStatus::Limit) {
+            ++limits;
+            EXPECT_NE(s.error, support::Errc::None) << label;
+        } else {
+            EXPECT_NEAR(s.objective, clean.objective, 1e-6) << label;
+        }
+        // A fault inside the root LP abandons the root: no certificate is
+        // recorded and the search cannot prove anything.
+        if (s.root_duals.empty()) {
+            EXPECT_EQ(s.status, SolveStatus::Limit) << label;
+        } else {
+            EXPECT_GE(s.root_bound, clean.objective - 1e-6) << label;
+        }
+        expect_consistent_shape(m, s);
+    }
+    reg.clear();
+    // The sweep reaches both outcomes: a fault in the cold root LP abandons
+    // the root (Limit), while one in a warm-started child LP falls back to a
+    // cold re-solve and the search still proves the optimum.
+    EXPECT_GT(limits, 0);
+    EXPECT_LT(limits, 80);
+}
+
+// Suite name kept from when this lived with the (since removed) root cut
+// loop; the contract it pins is the sparse backend's deadline handling.
+TEST(Cuts, ExpiredDeadlineReturnsLimitWithWarmIncumbent) {
+    // A deadline already past on a model with a real root gap: the sparse
+    // backend must stop with Limit and hand back the warm start, not an
+    // empty or partial result.
+    const Model m = gap_model();
+    SolveOptions o;
+    o.lp_backend = LpBackend::Sparse;
+    o.warm_start.assign(static_cast<std::size_t>(m.num_vars()), 0.0);
+    o.deadline = support::Deadline::after_seconds(0.0);
+    const Solution s = solve_milp(m, o);
     EXPECT_EQ(s.status, SolveStatus::Limit);
-    ASSERT_EQ(s.values.size(), 2u);
-    EXPECT_NEAR(s.objective, 16.0, 1e-9);
+    EXPECT_EQ(s.error, support::Errc::DeadlineExceeded);
+    ASSERT_FALSE(s.values.empty());
     EXPECT_TRUE(m.is_feasible(s.values, 1e-6));
+    EXPECT_NEAR(s.objective, 0.0, 1e-9);  // the warm start, kept
+    expect_consistent_shape(m, s);
 }
 
 TEST(SolveStatusProps, LpHonorsDeadlineInsideTheIterationLoop) {

@@ -159,9 +159,6 @@ TEST(Milp, NodeLimitReturnsLimitStatus) {
     m.set_objective(LinExpr().add(x, 1).add(y, 1));
     SolveOptions opts;
     opts.max_nodes = 1;
-    // Root cuts would close this instance at the root without branching
-    // (gomory: x + y ≤ 1); keep them off so the node budget actually binds.
-    opts.cuts_enabled = false;
     const Solution s = solve_milp(m, opts);
     EXPECT_EQ(s.status, SolveStatus::Limit);
     // Without the limit the optimum is 1.

@@ -264,7 +264,7 @@ TEST(RewriteAudit, AcceptsTheHonestCertificateChain) {
     ASSERT_TRUE(r.artifacts->optimized);
     ASSERT_FALSE(r.artifacts->rewrites.empty());
     EXPECT_EQ(rewrite_validity_errors(r.program, *r.artifacts), 0);
-    // The full nine-pass audit accepts the optimized compile end to end.
+    // The full eight-pass audit accepts the optimized compile end to end.
     const verify::LintResult full = audit::audit_artifacts(r.program, *r.artifacts);
     EXPECT_FALSE(full.has_errors()) << full.render();
 }

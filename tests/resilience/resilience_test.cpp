@@ -176,14 +176,12 @@ TEST_F(ResilienceTest, ParallelSolverSimplexFaultFiresExactlyOnceAcrossWorkers) 
     FaultRegistry& reg = FaultRegistry::instance();
     // simplex.pivot is hit from worker threads relaxing LPs concurrently;
     // the mutex-guarded registry must hand the single firing to exactly one
-    // of them, and the engine must absorb it as an abandoned subtree. Root
-    // cuts and LP warm starts are off so the firing lands inside a cold
-    // worker-thread node LP: the root separation loop rolls back and
-    // continues, and a warm-start dual simplex falls back to the cold path —
-    // both self-heal instead of surfacing the trouble.
+    // of them, and the engine must absorb it as an abandoned subtree. LP
+    // warm starts are off so the firing lands inside a cold worker-thread
+    // node LP: a warm-start dual simplex would fall back to the cold path
+    // and self-heal instead of surfacing the trouble.
     reg.configure("simplex.pivot:after=3");
     ilp::SolveOptions opts = parallel_options(8);
-    opts.cuts_enabled = false;
     opts.warm_start_lp = false;
     const ilp::Solution s = ilp::solve_milp(branching_model(), opts);
     EXPECT_EQ(reg.fires("simplex.pivot"), 1);
